@@ -23,6 +23,24 @@
 //! the predicted address matches, the load consumes the prefetched data and
 //! skips the cache entirely; otherwise it re-executes its own access and
 //! its speculatively woken dependents are cancelled.
+//!
+//! # Scan-free select and LSQ
+//!
+//! As in hardware, select and memory disambiguation read small age-ordered
+//! structures, never the whole window:
+//!
+//! * the **reservation station** (`Core::rs`) lists every un-issued entry
+//!   (`phase == Waiting && issue_cycle.is_none()`) with the fields select
+//!   needs — seq, `not_before`, renamed sources, port class;
+//! * the **load queue** and **store queue** (`Core::lq`, `Core::sq`) list
+//!   the seqs of the loads and stores in the window. The store scan of a
+//!   load or RFP packet, the ordering-violation check and the RFP-staleness
+//!   sweep of a resolving store walk only these.
+//!
+//! All three are derived state: a function of the ROB, maintained
+//! incrementally at dispatch, issue, squash and retire, rebuilt from the
+//! ROB when a warm snapshot is decoded (never encoded), and compared with
+//! a fresh ROB scan after every cycle in debug builds.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -66,6 +84,53 @@ struct RfpPacket {
     addr: Addr,
     /// Cycle the packet entered the queue (queue-wait telemetry).
     injected_at: Cycle,
+}
+
+/// The execution-port class an instruction competes for at select.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PortClass {
+    /// Integer ALU ops and branches.
+    Alu,
+    /// FP/vector ops.
+    Fp,
+    /// Load AGU.
+    Load,
+    /// Store AGU.
+    Store,
+}
+
+/// A reservation-station entry: the fields select reads, copied from the
+/// instruction's [`DynInst`] when it enters the RS (at dispatch, or when a
+/// squash sends it back). `not_before` is the only one that changes while
+/// it waits, and every write to `DynInst::not_before` updates both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RsEntry {
+    seq: SeqNum,
+    not_before: Cycle,
+    src_phys: [Option<PhysReg>; rfp_trace::MAX_SRCS],
+    port: PortClass,
+}
+
+impl RsEntry {
+    fn of(inst: &DynInst) -> Self {
+        RsEntry {
+            seq: inst.seq,
+            not_before: inst.not_before,
+            src_phys: inst.src_phys,
+            port: match inst.uop.kind {
+                UopKind::Alu { .. } | UopKind::Branch { .. } => PortClass::Alu,
+                UopKind::Fp { .. } => PortClass::Fp,
+                UopKind::Load => PortClass::Load,
+                UopKind::Store => PortClass::Store,
+            },
+        }
+    }
+}
+
+/// True when `inst` waits in the reservation station: dispatched (or sent
+/// back by a squash) and not yet issued.
+fn in_rs(inst: &DynInst) -> bool {
+    inst.phase == Phase::Waiting && inst.issue_cycle.is_none()
 }
 
 fn uop_class(kind: UopKind) -> UopClass {
@@ -118,6 +183,12 @@ pub struct Core<P: Probe = NoopProbe> {
     next_seq: u64,
     rob: VecDeque<DynInst>,
     rob_base: u64,
+    /// Reservation station: the un-issued window entries, oldest first.
+    rs: Vec<RsEntry>,
+    /// Load queue: seqs of the loads in the window, oldest first.
+    lq: VecDeque<SeqNum>,
+    /// Store queue: seqs of the stores in the window, oldest first.
+    sq: VecDeque<SeqNum>,
 
     rename_map: [PhysReg; 64],
     free_pregs: Vec<PhysReg>,
@@ -158,8 +229,9 @@ pub struct Core<P: Probe = NoopProbe> {
     scratch_pregs: Vec<PhysReg>,
     scratch_lines: Vec<Addr>,
 
-    ldq_used: usize,
-    stq_used: usize,
+    /// Dispatches minus issues (saturating at zero); gates dispatch.
+    /// Squashed entries re-enter `rs` without a dispatch, so this is not
+    /// `rs.len()`.
     rs_used: usize,
 
     rng: SmallRng,
@@ -256,6 +328,9 @@ impl<P: Probe> Core<P> {
             next_seq: 0,
             rob: VecDeque::with_capacity(cfg.rob_entries),
             rob_base: 0,
+            rs: Vec::with_capacity(cfg.rs_entries),
+            lq: VecDeque::with_capacity(cfg.ldq_entries),
+            sq: VecDeque::with_capacity(cfg.stq_entries),
             rename_map,
             free_pregs,
             preg_pred,
@@ -287,8 +362,6 @@ impl<P: Probe> Core<P> {
             scratch_issue: Vec::new(),
             scratch_pregs: Vec::new(),
             scratch_lines: Vec::new(),
-            ldq_used: 0,
-            stq_used: 0,
             rs_used: 0,
             rng: SmallRng::seed_from_u64(cfg.seed),
             stats: CoreStats::default(),
@@ -375,6 +448,8 @@ impl<P: Probe> Core<P> {
             self.issue();
             self.rfp_engine();
             self.dispatch(trace);
+            #[cfg(debug_assertions)]
+            self.check_derived_lists();
             if self.rob.is_empty() && trace.peek().is_none() {
                 return RunOutcome::Finished;
             }
@@ -427,6 +502,9 @@ impl<P: Probe> Core<P> {
             next_seq,
             rob,
             rob_base,
+            rs,
+            lq,
+            sq,
             rename_map,
             free_pregs,
             preg_pred,
@@ -454,8 +532,6 @@ impl<P: Probe> Core<P> {
             scratch_issue,
             scratch_pregs,
             scratch_lines,
-            ldq_used,
-            stq_used,
             rs_used,
             rng,
             stats,
@@ -471,6 +547,9 @@ impl<P: Probe> Core<P> {
             next_seq,
             rob,
             rob_base,
+            rs,
+            lq,
+            sq,
             rename_map,
             free_pregs,
             preg_pred,
@@ -498,8 +577,6 @@ impl<P: Probe> Core<P> {
             scratch_issue,
             scratch_pregs,
             scratch_lines,
-            ldq_used,
-            stq_used,
             rs_used,
             rng,
             stats,
@@ -547,10 +624,77 @@ impl<P: Probe> Core<P> {
             + self.mem.approx_bytes()
             + self.pt.as_ref().map_or(0, |pt| pt.approx_bytes())
             + self.rob.capacity() * size_of::<DynInst>()
+            + self.rs.capacity() * size_of::<RsEntry>()
+            + (self.lq.capacity() + self.sq.capacity()) * size_of::<SeqNum>()
             + self.free_pregs.capacity() * size_of::<PhysReg>()
             + (self.preg_pred.capacity() + self.preg_actual.capacity()) * size_of::<Cycle>()
             + self.fetch_queue.capacity() * size_of::<Cycle>()
             + self.rfp_queue.capacity() * size_of::<RfpPacket>()
+    }
+
+    /// Rebuilds the RS, load queue and store queue from the ROB — how a
+    /// decoded warm snapshot gets its derived state back.
+    fn rebuild_derived_lists(&mut self) {
+        let rob = &self.rob;
+        let seqs = |kind: fn(UopKind) -> bool| -> VecDeque<SeqNum> {
+            rob.iter()
+                .filter(|i| kind(i.uop.kind))
+                .map(|i| i.seq)
+                .collect()
+        };
+        self.lq = seqs(UopKind::is_load);
+        self.sq = seqs(UopKind::is_store);
+        self.rs = rob.iter().filter(|i| in_rs(i)).map(RsEntry::of).collect();
+    }
+
+    /// Debug-build invariant: the incrementally maintained RS, load-queue
+    /// and store-queue lists equal what a scan of the ROB yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the list and the first seq at which it differs.
+    #[cfg(debug_assertions)]
+    fn check_derived_lists(&self) {
+        use std::fmt::Debug;
+        // One pass with plain loops: this runs every cycle of every
+        // debug-build simulation.
+        #[cold]
+        fn diverged(name: &str, seq: SeqNum, scan: impl Debug, list: impl Debug) -> ! {
+            panic!(
+                "{name} list diverges from the ROB at seq {seq}: \
+                 ROB scan gives {scan:?}, list holds {list:?}"
+            );
+        }
+        let (mut rs, mut lq, mut sq) = (0, 0, 0);
+        for inst in &self.rob {
+            if in_rs(inst) {
+                let want = RsEntry::of(inst);
+                match self.rs.get(rs) {
+                    Some(e) if *e == want => {}
+                    e => diverged("RS", inst.seq.min(e.map_or(inst.seq, |e| e.seq)), want, e),
+                }
+                rs += 1;
+            }
+            let (queue, at, name) = match inst.uop.kind {
+                UopKind::Load => (&self.lq, &mut lq, "load-queue"),
+                UopKind::Store => (&self.sq, &mut sq, "store-queue"),
+                _ => continue,
+            };
+            match queue.get(*at) {
+                Some(&s) if s == inst.seq => {}
+                s => diverged(name, inst.seq.min(*s.unwrap_or(&inst.seq)), inst.seq, s),
+            }
+            *at += 1;
+        }
+        if let Some(e) = self.rs.get(rs) {
+            diverged("RS", e.seq, None::<RsEntry>, e);
+        }
+        if let Some(l) = self.lq.get(lq) {
+            diverged("load-queue", *l, None::<SeqNum>, l);
+        }
+        if let Some(s) = self.sq.get(sq) {
+            diverged("store-queue", *s, None::<SeqNum>, s);
+        }
     }
 
     // ----- helpers ---------------------------------------------------------
@@ -686,16 +830,21 @@ impl<P: Probe> Core<P> {
             i.vp_source = None;
         }
         self.set_dst_timing(load_seq, complete, complete);
-        self.squash_younger(load_seq, penalty_end);
+        self.squash_from(load_seq.next(), penalty_end);
     }
 
-    /// Squash execution (not allocation) of everything younger than `seq`.
-    fn squash_younger(&mut self, seq: SeqNum, not_before: Cycle) {
+    /// Squash execution (not allocation) of `first` and everything
+    /// younger: each goes back to the RS to re-execute.
+    fn squash_from(&mut self, first: SeqNum, not_before: Cycle) {
         let now = self.cycle;
-        let start = (seq.raw() + 1).saturating_sub(self.rob_base) as usize;
+        let start = first.raw().saturating_sub(self.rob_base) as usize;
         let mut dsts = std::mem::take(&mut self.scratch_pregs);
         dsts.clear();
         let mut squashed_rfp = 0u64;
+        // Every squashed entry re-enters the RS, so its tail from `first`
+        // on is exactly the squashed window suffix.
+        let kept = self.rs.partition_point(|e| e.seq < first);
+        self.rs.truncate(kept);
         for inst in self.rob.iter_mut().skip(start) {
             // A live packet dies with its squashed load: account for it
             // here, *before* squash_execution folds it into Dropped, so
@@ -714,6 +863,7 @@ impl<P: Probe> Core<P> {
                 }
             }
             inst.squash_execution(not_before);
+            self.rs.push(RsEntry::of(inst));
             if let Some(d) = inst.dst_phys {
                 dsts.push(d);
             }
@@ -886,9 +1036,9 @@ impl<P: Probe> Core<P> {
             CpiBucket::StructRs
         } else if self.rob.len() >= self.cfg.rob_entries {
             CpiBucket::StructRob
-        } else if self.ldq_used >= self.cfg.ldq_entries {
+        } else if self.lq.len() >= self.cfg.ldq_entries {
             CpiBucket::StructLq
-        } else if self.stq_used >= self.cfg.stq_entries {
+        } else if self.sq.len() >= self.cfg.stq_entries {
             CpiBucket::StructSq
         } else {
             CpiBucket::StructRs
@@ -942,7 +1092,8 @@ impl<P: Probe> Core<P> {
                 let _ = self
                     .mem
                     .access_with(m.addr, self.cycle, true, &mut self.probe);
-                self.stq_used -= 1;
+                let oldest = self.sq.pop_front();
+                debug_assert_eq!(oldest, Some(inst.seq), "store queue out of order");
             }
             UopKind::Branch { .. } => {
                 self.stats.retired_branches += 1;
@@ -951,7 +1102,8 @@ impl<P: Probe> Core<P> {
             _ => {}
         }
         if uop.kind.is_load() {
-            self.ldq_used -= 1;
+            let oldest = self.lq.pop_front();
+            debug_assert_eq!(oldest, Some(inst.seq), "load queue out of order");
         }
         if P::ENABLED {
             self.probe
@@ -979,25 +1131,17 @@ impl<P: Probe> Core<P> {
         let now = self.cycle;
         let mut to_issue = std::mem::take(&mut self.scratch_issue);
         to_issue.clear();
-        // The select logic only sees the reservation station, not the whole
-        // window: stop after examining `rs_entries` waiting candidates.
-        let mut examined = 0usize;
-        for inst in self.rob.iter() {
+        // Select examines the oldest `rs_entries` RS entries (squashed
+        // re-executions can push the list past the allocation limit).
+        for e in self.rs.iter().take(self.cfg.rs_entries) {
             if alu == 0 && fp == 0 && load_agu == 0 && store_agu == 0 {
                 break;
             }
-            if inst.phase != Phase::Waiting || inst.issue_cycle.is_some() {
-                continue;
-            }
-            examined += 1;
-            if examined > self.cfg.rs_entries {
-                break;
-            }
-            if inst.not_before > now {
+            if e.not_before > now {
                 continue;
             }
             // Speculative wakeup: all sources *predicted* ready.
-            let woken = inst
+            let woken = e
                 .src_phys
                 .iter()
                 .flatten()
@@ -1005,26 +1149,50 @@ impl<P: Probe> Core<P> {
             if !woken {
                 continue;
             }
-            let port = match inst.uop.kind {
-                UopKind::Alu { .. } | UopKind::Branch { .. } => &mut alu,
-                UopKind::Fp { .. } => &mut fp,
-                UopKind::Load => &mut load_agu,
-                UopKind::Store => &mut store_agu,
+            let port = match e.port {
+                PortClass::Alu => &mut alu,
+                PortClass::Fp => &mut fp,
+                PortClass::Load => &mut load_agu,
+                PortClass::Store => &mut store_agu,
             };
             if *port == 0 {
                 continue;
             }
             *port -= 1;
-            to_issue.push(inst.seq);
+            to_issue.push(e.seq);
         }
 
-        for &seq in &to_issue {
-            self.issue_one(seq);
+        // Issue oldest first, keeping the seqs that left the RS. A squash
+        // inside `issue_one` only sends back entries younger than the one
+        // issuing, so no earlier seq in the list re-enters the RS.
+        let mut issued = 0;
+        for i in 0..to_issue.len() {
+            let seq = to_issue[i];
+            if self.issue_one(seq) {
+                to_issue[issued] = seq;
+                issued += 1;
+            }
+        }
+        to_issue.truncate(issued);
+        if !to_issue.is_empty() {
+            // Both lists are in age order: one merge pass drops them.
+            let mut left = to_issue.iter().peekable();
+            self.rs.retain(|e| {
+                let gone = left.peek() == Some(&&e.seq);
+                if gone {
+                    left.next();
+                }
+                !gone
+            });
+            debug_assert!(left.peek().is_none(), "issued seq missing from the RS");
         }
         self.scratch_issue = to_issue;
     }
 
-    fn issue_one(&mut self, seq: SeqNum) {
+    /// Issues a selected RS entry, or — when the scoreboard shows a
+    /// mis-speculated wakeup — leaves it in the RS for a later retry.
+    /// Returns true when the instruction left the RS.
+    fn issue_one(&mut self, seq: SeqNum) -> bool {
         let now = self.cycle;
         let inst = self.inst(seq).expect("selected inst is in the window");
         // Scoreboard check: sources must be *actually* ready, or this was a
@@ -1039,11 +1207,16 @@ impl<P: Probe> Core<P> {
             if P::ENABLED {
                 self.probe.emit(now, ProbeEvent::SchedReissue { seq });
             }
-            let penalty = self.cfg.reissue_penalty;
+            let not_before = now + self.cfg.reissue_penalty;
             if let Some(i) = self.inst_mut(seq) {
-                i.not_before = now + penalty;
+                i.not_before = not_before;
             }
-            return;
+            let at = self
+                .rs
+                .binary_search_by_key(&seq, |e| e.seq)
+                .expect("a selected entry is in the RS");
+            self.rs[at].not_before = not_before;
+            return false;
         }
         let uop = self.inst(seq).expect("in window").uop;
         if let Some(i) = self.inst_mut(seq) {
@@ -1062,6 +1235,7 @@ impl<P: Probe> Core<P> {
             UopKind::Load => self.execute_load(seq),
             UopKind::Store => self.execute_store(seq),
         }
+        true
     }
 
     fn finish_simple(&mut self, seq: SeqNum, done: Cycle) {
@@ -1384,13 +1558,11 @@ impl<P: Probe> Core<P> {
             Some(i) => i.uop.pc,
             None => return StoreScan::NoConflict,
         };
-        let end = seq.raw().saturating_sub(self.rob_base) as usize;
+        let older = self.sq.partition_point(|&s| s < seq);
         let mut has_unresolved_older_store = false;
         // Youngest-first scan of older stores.
-        for inst in self.rob.iter().take(end).rev() {
-            if !inst.uop.kind.is_store() {
-                continue;
-            }
+        for &s in self.sq.range(..older).rev() {
+            let inst = self.inst(s).expect("store-queue entries are in the window");
             if inst.mem_executed {
                 if inst.uop.mem_ref().addr == addr {
                     return StoreScan::Forward {
@@ -1485,8 +1657,9 @@ impl<P: Probe> Core<P> {
         // RFP staleness: in-flight prefetched data for younger loads at
         // this address is now stale (paper §3.2.1 — when the load has not
         // yet dispatched, no flush is needed; it simply re-looks-up).
-        let start = (seq.raw() + 1).saturating_sub(self.rob_base) as usize;
-        for l in self.rob.iter_mut().skip(start) {
+        let younger = self.lq.partition_point(|&l| l < seq);
+        for &l in self.lq.range(younger..) {
+            let l = &mut self.rob[(l.raw() - self.rob_base) as usize];
             if let RfpState::InFlight {
                 addr: paddr, stale, ..
             } = &mut l.rfp
@@ -1499,10 +1672,11 @@ impl<P: Probe> Core<P> {
     }
 
     fn check_violations(&mut self, store_seq: SeqNum, store_pc: rfp_types::Pc, addr: Addr) {
-        let start = (store_seq.raw() + 1).saturating_sub(self.rob_base) as usize;
+        let younger = self.lq.partition_point(|&l| l < store_seq);
         let mut victim: Option<(SeqNum, rfp_types::Pc)> = None;
-        for l in self.rob.iter().skip(start) {
-            if !l.uop.kind.is_load() || !l.mem_executed {
+        for &l in self.lq.range(younger..) {
+            let l = self.inst(l).expect("load-queue entries are in the window");
+            if !l.mem_executed {
                 continue;
             }
             if l.uop.mem_ref().addr != addr {
@@ -1540,20 +1714,13 @@ impl<P: Probe> Core<P> {
                 },
             );
         }
-        // Reset the load itself. (Its own RFP packet cannot still be live:
-        // the load has executed, which resolved the packet one way or the
-        // other — no funnel adjustment needed here.)
-        let mut dst = None;
-        if let Some(i) = self.inst_mut(load_seq) {
-            debug_assert!(!i.rfp.is_queued() && !i.rfp.is_inflight());
-            i.squash_execution(penalty_end);
-            dst = i.dst_phys;
-        }
-        if let Some(d) = dst {
-            self.preg_pred[d.index()] = NEVER;
-            self.preg_actual[d.index()] = NEVER;
-        }
-        self.squash_younger(load_seq, penalty_end);
+        // The load's own RFP packet cannot still be live: the load has
+        // executed, which resolved the packet one way or the other — so
+        // squashing it adds nothing to the funnel's squashed-drop bucket.
+        debug_assert!(self
+            .inst(load_seq)
+            .is_some_and(|i| !i.rfp.is_queued() && !i.rfp.is_inflight()));
+        self.squash_from(load_seq, penalty_end);
     }
 
     // ----- RFP engine ------------------------------------------------------
@@ -1797,8 +1964,8 @@ impl<P: Probe> Core<P> {
             // Structural stalls.
             if self.rob.len() >= self.cfg.rob_entries
                 || self.rs_used >= self.cfg.rs_entries
-                || (uop.kind.is_load() && self.ldq_used >= self.cfg.ldq_entries)
-                || (uop.kind.is_store() && self.stq_used >= self.cfg.stq_entries)
+                || (uop.kind.is_load() && self.lq.len() >= self.cfg.ldq_entries)
+                || (uop.kind.is_store() && self.sq.len() >= self.cfg.stq_entries)
                 || self.free_pregs.is_empty()
             {
                 break;
@@ -1869,11 +2036,11 @@ impl<P: Probe> Core<P> {
         self.rs_used += 1;
         match uop.kind {
             UopKind::Load => {
-                self.ldq_used += 1;
+                self.lq.push_back(seq);
                 self.dispatch_load_extras(&mut inst, fetch_cycle);
             }
             UopKind::Store => {
-                self.stq_used += 1;
+                self.sq.push_back(seq);
                 self.store_sets.store_dispatched(uop.pc, seq);
             }
             UopKind::Branch {
@@ -1894,6 +2061,7 @@ impl<P: Probe> Core<P> {
             }
             _ => {}
         }
+        self.rs.push(RsEntry::of(&inst));
         self.rob.push_back(inst);
     }
 
@@ -2291,6 +2459,7 @@ mod codec_impls {
     use rand::rngs::SmallRng;
     use rfp_obs::NoopProbe;
     use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
+    use std::collections::VecDeque;
 
     impl Codec for EventKind {
         fn encode(&self, w: &mut ByteWriter) {
@@ -2354,6 +2523,12 @@ mod codec_impls {
                 next_seq,
                 rob,
                 rob_base,
+                // Derived from the ROB: rebuilt on decode. The queues'
+                // lengths stand in for the occupancy counters earlier
+                // snapshots carried, so the bytes are unchanged.
+                rs: _,
+                lq,
+                sq,
                 rename_map,
                 free_pregs,
                 preg_pred,
@@ -2382,8 +2557,6 @@ mod codec_impls {
                 scratch_issue: _,
                 scratch_pregs: _,
                 scratch_lines: _,
-                ldq_used,
-                stq_used,
                 rs_used,
                 rng,
                 stats,
@@ -2421,8 +2594,8 @@ mod codec_impls {
             events.encode(w);
             l1_retry.encode(w);
             store_waiters.encode(w);
-            ldq_used.encode(w);
-            stq_used.encode(w);
+            lq.len().encode(w);
+            sq.len().encode(w);
             rs_used.encode(w);
             rng.state().encode(w);
             stats.encode(w);
@@ -2432,13 +2605,18 @@ mod codec_impls {
             cycle_offset.encode(w);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            let core = Core {
+            // Queue occupancies, checked against the rebuilt queues below.
+            let (ldq_used, stq_used): (usize, usize);
+            let mut core = Core {
                 cfg: Codec::decode(r)?,
                 probe: NoopProbe,
                 cycle: Codec::decode(r)?,
                 next_seq: Codec::decode(r)?,
                 rob: Codec::decode(r)?,
                 rob_base: Codec::decode(r)?,
+                rs: Vec::new(),
+                lq: VecDeque::new(),
+                sq: VecDeque::new(),
                 rename_map: Codec::decode(r)?,
                 free_pregs: Codec::decode(r)?,
                 preg_pred: Codec::decode(r)?,
@@ -2466,9 +2644,11 @@ mod codec_impls {
                 scratch_issue: Vec::new(),
                 scratch_pregs: Vec::new(),
                 scratch_lines: Vec::new(),
-                ldq_used: Codec::decode(r)?,
-                stq_used: Codec::decode(r)?,
-                rs_used: Codec::decode(r)?,
+                rs_used: {
+                    ldq_used = Codec::decode(r)?;
+                    stq_used = Codec::decode(r)?;
+                    Codec::decode(r)?
+                },
                 rng: SmallRng::from_state(Codec::decode(r)?),
                 stats: Codec::decode(r)?,
                 last_retire_cycle: Codec::decode(r)?,
@@ -2512,6 +2692,21 @@ mod codec_impls {
             {
                 return Err(CodecError::Invalid("core predictor presence"));
             }
+            // The window holds consecutive seqs from `rob_base` up to
+            // `next_seq`; the derived lists rely on that order.
+            let window_ok = core.rob_base.checked_add(core.rob.len() as u64) == Some(core.next_seq)
+                && (core.rob.iter())
+                    .zip(core.rob_base..)
+                    .all(|(inst, seq)| inst.seq.raw() == seq);
+            if !window_ok {
+                return Err(CodecError::Invalid("core window sequence"));
+            }
+            core.rebuild_derived_lists();
+            if core.lq.len() != ldq_used || core.sq.len() != stq_used {
+                return Err(CodecError::Invalid("core LSQ occupancy"));
+            }
+            #[cfg(debug_assertions)]
+            core.check_derived_lists();
             Ok(core)
         }
     }

@@ -10,6 +10,12 @@
 //! L1 ports at the lowest priority, writing straight into the load's
 //! physical destination register.
 //!
+//! Select and memory disambiguation read age-ordered index structures —
+//! a reservation station of un-issued entries, and load and store queues
+//! — rather than walking the reorder buffer. They are derived from the ROB:
+//! rebuilt when a warm snapshot is decoded, and checked against a ROB scan
+//! after every cycle in debug builds.
+//!
 //! # Examples
 //!
 //! ```

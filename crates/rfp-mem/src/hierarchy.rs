@@ -817,8 +817,19 @@ mod tests {
         let mut bad = bytes.clone();
         bad[8..16].copy_from_slice(&0u64.to_le_bytes());
         assert!(rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bad).is_err());
-        // Truncations at every eighth offset fail cleanly.
-        for cut in (0..bytes.len()).step_by(8) {
+        // Truncations fail cleanly: every eighth offset through the leading
+        // config and the trailing 4 KiB (MSHRs, TLBs, prefetcher, counters),
+        // and a fixed, evenly spaced set of cuts through the cache arrays in
+        // between. Each decode is linear in the prefix, so cutting at every
+        // eighth offset of the multi-MB snapshot would be quadratic.
+        let head = rfp_types::codec::encode_to_vec(&m.config).len() + 64;
+        let tail = bytes.len() - 4096;
+        let spread = 512;
+        let cuts = (0..head)
+            .step_by(8)
+            .chain((0..spread).map(|i| head + i * (tail - head) / spread))
+            .chain((tail..bytes.len()).step_by(8));
+        for cut in cuts {
             assert!(rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bytes[..cut]).is_err());
         }
     }

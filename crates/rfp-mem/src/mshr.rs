@@ -4,8 +4,10 @@
 //! finds its line already being fetched merges with the outstanding request
 //! — the paper's Fig. 2 reports these as "MSHR hits". A full MSHR file adds
 //! back-pressure: new misses queue behind the oldest outstanding fill.
-
-use std::collections::HashMap;
+//!
+//! The file is a flat vector of `(line, done)` pairs: it holds a few dozen
+//! entries at most, and every access first expires completed fills, so a
+//! linear scan beats hashing.
 
 use rfp_types::{Addr, Cycle};
 
@@ -52,8 +54,9 @@ impl MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    /// line number -> completion cycle
-    inflight: HashMap<u64, Cycle>,
+    /// `(line number, completion cycle)` of each in-flight fill; at most
+    /// one entry per line, in no particular order.
+    inflight: Vec<(u64, Cycle)>,
     merges: u64,
     delays: u64,
 }
@@ -68,7 +71,7 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
             capacity,
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
             merges: 0,
             delays: 0,
         }
@@ -79,7 +82,7 @@ impl MshrFile {
     pub fn request(&mut self, addr: Addr, now: Cycle, fill_latency: Cycle) -> MshrOutcome {
         self.expire(now);
         let line = addr.line_number();
-        if let Some(&done) = self.inflight.get(&line) {
+        if let Some(done) = self.find(line) {
             self.merges += 1;
             return MshrOutcome::Merged(done);
         }
@@ -87,17 +90,17 @@ impl MshrFile {
             // Queue behind the oldest outstanding fill.
             let oldest = self
                 .inflight
-                .values()
-                .copied()
+                .iter()
+                .map(|&(_, done)| done)
                 .min()
                 .expect("file is non-empty when full");
             let done = oldest + fill_latency;
-            self.inflight.insert(line, done);
+            self.inflight.push((line, done));
             self.delays += 1;
             return MshrOutcome::Delayed(done);
         }
         let done = now + fill_latency;
-        self.inflight.insert(line, done);
+        self.inflight.push((line, done));
         MshrOutcome::Allocated(done)
     }
 
@@ -105,7 +108,7 @@ impl MshrFile {
     /// if one exists at cycle `now`.
     pub fn lookup(&mut self, addr: Addr, now: Cycle) -> Option<Cycle> {
         self.expire(now);
-        self.inflight.get(&addr.line_number()).copied()
+        self.find(addr.line_number())
     }
 
     /// Number of live entries at cycle `now`.
@@ -133,19 +136,28 @@ impl MshrFile {
         self.inflight.clear();
     }
 
+    fn find(&self, line: u64) -> Option<Cycle> {
+        self.inflight
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, done)| done)
+    }
+
     fn expire(&mut self, now: Cycle) {
-        self.inflight.retain(|_, done| *done > now);
+        self.inflight.retain(|&(_, done)| done > now);
     }
 }
 
 mod codec_impls {
-    //! Binary codec for warm-state persistence. The in-flight map is
-    //! encoded sorted by line number (see `rfp_types::codec`): every
-    //! consumer either looks entries up by key or reduces them
-    //! order-independently, so the rebuilt map behaves identically.
+    //! Binary codec for warm-state persistence. The in-flight entries are
+    //! encoded as a vector of `(line, done)` pairs sorted by line, which
+    //! is also the wire form of a map (see `rfp_types::codec`). Every consumer
+    //! looks entries up by line or reduces them order-independently, so
+    //! the decoded file behaves identically whatever its entry order.
 
     use super::MshrFile;
     use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
+    use rfp_types::Cycle;
 
     impl Codec for MshrFile {
         fn encode(&self, w: &mut ByteWriter) {
@@ -156,7 +168,9 @@ mod codec_impls {
                 delays,
             } = self;
             capacity.encode(w);
-            inflight.encode(w);
+            let mut sorted = inflight.clone();
+            sorted.sort_unstable();
+            sorted.encode(w);
             merges.encode(w);
             delays.encode(w);
         }
@@ -165,9 +179,14 @@ mod codec_impls {
             if capacity == 0 {
                 return Err(CodecError::Invalid("MSHR capacity"));
             }
+            let inflight: Vec<(u64, Cycle)> = Codec::decode(r)?;
+            // The canonical form lists each line once, in ascending order.
+            if inflight.windows(2).any(|p| p[0].0 >= p[1].0) {
+                return Err(CodecError::Invalid("MSHR duplicate or unsorted line"));
+            }
             Ok(MshrFile {
                 capacity,
-                inflight: Codec::decode(r)?,
+                inflight,
                 merges: Codec::decode(r)?,
                 delays: Codec::decode(r)?,
             })
@@ -215,6 +234,70 @@ mod tests {
         assert_eq!(m.occupancy(5), 2);
         assert_eq!(m.occupancy(15), 1);
         assert_eq!(m.occupancy(25), 0);
+    }
+
+    #[test]
+    fn expired_entries_do_not_set_the_delay_base() {
+        // Fills done at 30 and 60; at cycle 40 the first has expired, so a
+        // miss into the full file queues behind the live one: 60 + 100.
+        let mut m = MshrFile::new(2);
+        m.request(Addr::new(0), 0, 30);
+        m.request(Addr::new(0x40), 0, 60);
+        m.request(Addr::new(0x80), 40, 100);
+        assert_eq!(m.occupancy(40), 2);
+        assert_eq!(
+            m.request(Addr::new(0xc0), 40, 100),
+            MshrOutcome::Delayed(160)
+        );
+        assert_eq!(m.delays(), 1);
+    }
+
+    fn populated() -> MshrFile {
+        let mut m = MshrFile::new(4);
+        for (i, line) in [9u64, 3, 7, 1, 5, 3].into_iter().enumerate() {
+            m.request(Addr::new(line << 6), i as Cycle, 50 + i as Cycle);
+        }
+        m
+    }
+
+    #[test]
+    fn codec_matches_the_sorted_map_encoding() {
+        use rfp_types::codec::{decode_from_slice, encode_to_vec, ByteWriter, Codec};
+        let m = populated();
+        assert!(m.inflight.len() > m.capacity, "delayed entries overfill");
+        // The encoding a `HashMap<line, done>` file wrote: its entries are
+        // emitted sorted by key.
+        let map: std::collections::HashMap<u64, Cycle> = m.inflight.iter().copied().collect();
+        let mut w = ByteWriter::new();
+        m.capacity.encode(&mut w);
+        map.encode(&mut w);
+        m.merges.encode(&mut w);
+        m.delays.encode(&mut w);
+        let bytes = encode_to_vec(&m);
+        assert_eq!(bytes, w.into_bytes());
+        let back: MshrFile = decode_from_slice(&bytes).expect("decodes");
+        assert_eq!(encode_to_vec(&back), bytes);
+        for line in [1u64, 3, 5, 7, 9, 11] {
+            assert_eq!(back.find(line), m.find(line));
+        }
+    }
+
+    #[test]
+    fn codec_rejects_a_duplicate_line() {
+        use rfp_types::codec::{decode_from_slice, ByteWriter, Codec, CodecError};
+        let mut w = ByteWriter::new();
+        4usize.encode(&mut w);
+        w.put_u64(2);
+        for (line, done) in [(7u64, 50u64), (7, 60)] {
+            line.encode(&mut w);
+            done.encode(&mut w);
+        }
+        0u64.encode(&mut w);
+        0u64.encode(&mut w);
+        assert_eq!(
+            decode_from_slice::<MshrFile>(&w.into_bytes()).unwrap_err(),
+            CodecError::Invalid("MSHR duplicate or unsorted line")
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfp_bench::{
-    default_threads, engine_metrics, engine_trace_json, run_grid_pooled, update_bench_json,
-    GridOutcome, WarmMode, WarmPool,
+    default_threads, engine_metrics, engine_trace_json, run_grid, update_bench_json, GridOutcome,
+    WarmMode, WarmPool,
 };
 use rfp_core::CoreConfig;
 use rfp_obs::EngineTracer;
@@ -73,7 +73,7 @@ fn bench_tracer_sweep(_c: &mut Criterion) {
     let run = |tracer: Option<Arc<EngineTracer>>| -> (f64, GridOutcome, WarmPool) {
         let pool = WarmPool::new(WarmMode::Exact, GRID_LEN).with_tracer(tracer);
         let t0 = Instant::now();
-        let out = run_grid_pooled(&pool, &configs, threads, false);
+        let out = run_grid(&pool, &configs, threads, false);
         (t0.elapsed().as_secs_f64(), out, pool)
     };
     let (off_a, off_out, _) = run(None);

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfp_bench::{
-    config_key, default_threads, run_grid_pooled, sampling_error_report_json, sampling_report_json,
+    config_key, default_threads, run_grid, sampling_error_report_json, sampling_report_json,
     update_bench_json, Harness, SimMode, WarmMode, WarmPool, SAMPLE_INTERVAL_UOPS,
 };
 use rfp_core::CoreConfig;
@@ -82,7 +82,7 @@ fn bench_sampling_json(_c: &mut Criterion) {
     let run_mode = |sim: SimMode| {
         let pool = WarmPool::with_sim(WarmMode::Exact, sim, GRID_LEN);
         let t = Instant::now();
-        let out = run_grid_pooled(&pool, &configs, threads, false);
+        let out = run_grid(&pool, &configs, threads, false);
         (t.elapsed().as_secs_f64(), out, pool.stats())
     };
     let (full_secs, _full_out, _) = run_mode(SimMode::Full);
@@ -105,7 +105,7 @@ fn bench_sampling_json(_c: &mut Criterion) {
     let rfp_cfg = CoreConfig::tiger_lake().with_rfp();
     let obs_mode = |sim: SimMode| {
         let pool = WarmPool::with_sim(WarmMode::Exact, sim, GRID_LEN);
-        let mut out = run_grid_pooled(&pool, std::slice::from_ref(&rfp_cfg), threads, true);
+        let mut out = run_grid(&pool, std::slice::from_ref(&rfp_cfg), threads, true);
         out.reports.pop().expect("one config in, one row out")
     };
     let full_doc = sampling_report_json(&rfp_cfg, GRID_LEN, &obs_mode(SimMode::Full));

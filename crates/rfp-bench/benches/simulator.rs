@@ -10,7 +10,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfp_bench::{default_threads, run_grid, update_bench_json};
+use rfp_bench::{default_threads, run_grid, update_bench_json, WarmMode, WarmPool};
 use rfp_core::{
     simulate_workload, simulate_workload_probed, CalendarQueue, CoreConfig, OracleMode, VpMode,
 };
@@ -234,14 +234,23 @@ fn bench_engine_json(_c: &mut Criterion) {
     };
     let threads = default_threads();
     let t0 = Instant::now();
-    let serial = run_grid(&cfg, grid_len, 1);
+    let grid = |threads| {
+        run_grid(
+            &WarmPool::new(WarmMode::Exact, grid_len),
+            &cfg,
+            threads,
+            false,
+        )
+        .reports
+    };
+    let serial = grid(1);
     let serial_secs = t0.elapsed().as_secs_f64();
     let uops = uops_of(&serial);
     // The serial-vs-parallel comparison only means something with real
     // parallel hardware behind it.
     let parallel = (threads > 1).then(|| {
         let t1 = Instant::now();
-        let parallel = run_grid(&cfg, grid_len, threads);
+        let parallel = grid(threads);
         let parallel_secs = t1.elapsed().as_secs_f64();
         assert_eq!(uops, uops_of(&parallel));
         parallel_secs

@@ -13,8 +13,8 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfp_bench::{
-    config_key, default_threads, result_key, run_grid_pooled, update_bench_json, ExpStore,
-    GridOutcome, Harness, SimMode, Tier, WarmMode, WarmPool,
+    config_key, default_threads, result_key, run_grid, update_bench_json, ExpStore, GridOutcome,
+    Harness, SimMode, Tier, WarmMode, WarmPool,
 };
 use rfp_core::{simulate_workload, CoreConfig};
 
@@ -101,7 +101,7 @@ fn bench_store_json(_c: &mut Criterion) {
     let run = |store: Option<Arc<ExpStore>>| {
         let pool = WarmPool::new(WarmMode::Exact, GRID_LEN).with_store(store);
         let t = Instant::now();
-        let out = run_grid_pooled(&pool, &configs, threads, false);
+        let out = run_grid(&pool, &configs, threads, false);
         (t.elapsed().as_secs_f64(), out)
     };
     // Interleave the repeated arms (off, warm, cold-snapshots) so host
@@ -150,7 +150,7 @@ fn bench_store_json(_c: &mut Criterion) {
     // Re-measure disk occupancy with a fresh handle (the last snapshot
     // arm republished the result tier, so all three tiers are full).
     let store = scratch.open();
-    let [results, warm, traces] = store.disk_stats();
+    let [results, warm, traces, _history] = store.disk_stats();
     let tier_json = |u: rfp_bench::TierUsage| {
         format!("{{ \"entries\": {}, \"bytes\": {} }}", u.entries, u.bytes)
     };

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfp_bench::{
-    config_key, default_threads, run_grid_pooled, update_bench_json, Harness, WarmMode, WarmPool,
+    config_key, default_threads, run_grid, update_bench_json, Harness, WarmMode, WarmPool,
 };
 use rfp_core::{warm_up_workload, CoreConfig};
 
@@ -17,9 +17,9 @@ use rfp_core::{warm_up_workload, CoreConfig};
 /// bench's kernel length; warmup is the engine's len/2 rule).
 const CAPTURE_LEN: u64 = 8_000;
 
-/// Trace length for the end-to-end three-mode sweep. Long enough that
-/// the warmup a fork skips dwarfs the fixed cost of cloning the warm
-/// structures, short enough that three full-grid sweeps stay benchable.
+/// Trace length for the end-to-end two-mode sweep. Long enough that the
+/// warmup a fork skips dwarfs the fixed cost of cloning the warm
+/// structures, short enough that four full-grid sweeps stay benchable.
 const GRID_LEN: u64 = 32_000;
 
 fn capture_inputs() -> (
@@ -63,10 +63,10 @@ fn all_plan_configs() -> Vec<CoreConfig> {
 
 /// One-shot measurements written into `BENCH_engine.json`: per-snapshot
 /// capture/clone cost and bytes, then the headline `warm_fork` number —
-/// wall time of the full config inventory under `off` / `exact` /
-/// `checkpoint` warm modes on this machine's worker count. The exact
-/// rows are asserted byte-identical to the straight-through reference
-/// before anything is written.
+/// wall time of the full config inventory under the `off` and `exact`
+/// warm modes on this machine's worker count. The exact rows are
+/// asserted byte-identical to the straight-through reference before
+/// anything is written.
 fn bench_warm_fork_json(_c: &mut Criterion) {
     // Snapshot micro-costs.
     let (cfg, w, warmup, trace) = capture_inputs();
@@ -88,26 +88,25 @@ fn bench_warm_fork_json(_c: &mut Criterion) {
         snap.approx_bytes(),
     );
 
-    // End-to-end: the deduped `experiments all` inventory, three modes.
+    // End-to-end: the deduped `experiments all` inventory, both modes.
     let configs = all_plan_configs();
     let threads = default_threads();
     let run_mode = |mode: WarmMode| {
         let pool = WarmPool::new(mode, GRID_LEN);
         let t = Instant::now();
-        let out = run_grid_pooled(&pool, &configs, threads, false);
+        let out = run_grid(&pool, &configs, threads, false);
         (t.elapsed().as_secs_f64(), out, pool.stats())
     };
-    // Two interleaved rounds for the headline off/checkpoint pair, min
-    // per mode — single-shot wall times on a shared host drift by a few
-    // percent over the minutes these sweeps take, and interleaving keeps
-    // that drift from landing on one mode.
+    // Two interleaved rounds per mode, min per mode — single-shot wall
+    // times on a shared host drift by a few percent over the minutes
+    // these sweeps take, and interleaving keeps that drift from landing
+    // on one mode.
     let (off_a, off_out, _) = run_mode(WarmMode::Off);
-    let (exact_secs, exact_out, exact_stats) = run_mode(WarmMode::Exact);
-    let (ckpt_a, ckpt_out, ckpt_stats) = run_mode(WarmMode::Checkpoint);
+    let (exact_a, exact_out, exact_stats) = run_mode(WarmMode::Exact);
     let (off_b, _, _) = run_mode(WarmMode::Off);
-    let (ckpt_b, _, _) = run_mode(WarmMode::Checkpoint);
+    let (exact_b, _, _) = run_mode(WarmMode::Exact);
     let off_secs = off_a.min(off_b);
-    let ckpt_secs = ckpt_a.min(ckpt_b);
+    let exact_secs = exact_a.min(exact_b);
 
     // Exact mode is a pure performance feature: byte-identical output.
     for (off_row, exact_row) in off_out.reports.iter().zip(&exact_out.reports) {
@@ -125,20 +124,14 @@ fn bench_warm_fork_json(_c: &mut Criterion) {
     };
     let jobs = off_out.telemetry.len();
     let warm_fork = format!(
-        "{{\n    \"trace_len\": {GRID_LEN},\n    \"configs\": {},\n    \"workloads\": {},\n    \"jobs\": {jobs},\n    \"threads\": {threads},\n    \"timing\": \"min of 2 interleaved rounds (off, checkpoint); 1 round (exact)\",\n    \"off_secs\": {off_secs:.3},\n    \"exact_secs\": {exact_secs:.3},\n    \"checkpoint_secs\": {ckpt_secs:.3},\n    \"exact_speedup\": {:.3},\n    \"speedup\": {:.3},\n    \"exact\": {{ \"forks\": {}, \"straight\": {}, \"snapshot_hits\": {}, \"snapshot_misses\": {} }},\n    \"checkpoint\": {{ \"forks\": {}, \"transplants\": {}, \"straight\": {}, \"snapshot_hits\": {}, \"snapshot_misses\": {} }}\n  }}",
+        "{{\n    \"trace_len\": {GRID_LEN},\n    \"configs\": {},\n    \"workloads\": {},\n    \"jobs\": {jobs},\n    \"threads\": {threads},\n    \"timing\": \"min of 2 interleaved rounds (off, exact)\",\n    \"off_secs\": {off_secs:.3},\n    \"exact_secs\": {exact_secs:.3},\n    \"exact_speedup\": {:.3},\n    \"exact\": {{ \"forks\": {}, \"straight\": {}, \"snapshot_hits\": {}, \"snapshot_misses\": {} }}\n  }}",
         configs.len(),
         off_out.reports.first().map_or(0, Vec::len),
         off_secs / exact_secs,
-        off_secs / ckpt_secs,
         arm_count(&exact_out, "fork"),
         arm_count(&exact_out, "straight"),
         exact_stats.snapshot_hits,
         exact_stats.snapshot_misses,
-        arm_count(&ckpt_out, "fork"),
-        arm_count(&ckpt_out, "transplant"),
-        arm_count(&ckpt_out, "straight"),
-        ckpt_stats.snapshot_hits,
-        ckpt_stats.snapshot_misses,
     );
 
     let path = std::path::Path::new(concat!(
@@ -154,9 +147,9 @@ fn bench_warm_fork_json(_c: &mut Criterion) {
         std::process::exit(2);
     });
     println!(
-        "merged warm_state/warm_fork sections into {} (off {off_secs:.1}s, exact {exact_secs:.1}s, checkpoint {ckpt_secs:.1}s, speedup {:.2}x)",
+        "merged warm_state/warm_fork sections into {} (off {off_secs:.1}s, exact {exact_secs:.1}s, speedup {:.2}x)",
         path.display(),
-        off_secs / ckpt_secs,
+        off_secs / exact_secs,
     );
 }
 

@@ -16,23 +16,31 @@
 //! engine's own span trace (Chrome JSON with an `engineMetrics`
 //! summary).
 //!
-//! Env: `RFP_TRACE_LEN=<uops>`, `RFP_THREADS=<n>`,
-//! `RFP_WARM_MODE=off|exact|checkpoint`, `RFP_SIM_MODE=full|sample`
-//! (phase-sampled simulation — approximate, see `experiments
-//! sampling-error`) and `RFP_ENGINE_TRACE=<path>`. All are strictly
-//! parsed: a malformed value exits 2 instead of silently falling back
-//! to the default.
+//! Env: `RFP_TRACE_LEN=<uops>` (the positional `len` wins, under the
+//! same rule: an integer >= 1), `RFP_THREADS=<n>`,
+//! `RFP_WARM_MODE=off|exact`, `RFP_SIM_MODE=full|sample` (phase-sampled
+//! simulation — approximate, see `experiments sampling-error`),
+//! `RFP_STORE=<dir>` and `RFP_ENGINE_TRACE=<path>`. Every `RFP_*` knob is
+//! parsed up front ([`RunEnv`]), the ones this bin does not use included:
+//! a malformed value exits 2 instead of silently falling back to the
+//! default, so a typo'd pipeline fails at its first command.
 
 use std::sync::Arc;
 
 use rfp_bench::{
-    default_threads, engine_trace_from_env, metrics_reports_json, profile_reports_json,
-    run_grid_pooled, telemetry_jsonl, trace_workload_json, write_engine_trace, EngineTracePath,
-    WarmPool,
+    metrics_reports_json, profile_reports_json, run_grid, telemetry_jsonl, trace_workload_json,
+    write_engine_trace, NonEmptyPath, RunEnv, WarmPool,
 };
 use rfp_core::{CoreConfig, OracleMode};
 use rfp_obs::EngineTracer;
 use rfp_stats::{geomean_speedup, mean_frac};
+
+/// Prints `error: {msg}` and exits 2 — configuration and I/O problems
+/// are usage errors here, not bugs worth a backtrace.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
 
 /// Removes `--flag value` from `args`, returning the value.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -47,21 +55,10 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
 }
 
 fn main() {
-    // Validate `RFP_INSPECT_WINDOWS` even though this bin never inspects:
-    // a malformed value exits 2 here exactly as it would in
-    // `experiments`, failing a typo'd pipeline at its first command.
-    let _ = rfp_bench::inspect_windows_from_env();
-    // Same strictness for `RFP_STORE` (this bin's grids do use it): an
-    // empty or unwritable store path exits 2 before any simulation.
-    let _ = rfp_bench::ExpStore::from_env();
-    // `RFP_HISTORY` (the run-history ledger, written by `experiments`)
-    // gets the same treatment.
-    let _ = rfp_bench::history_store_from_env();
-    // And for `RFP_ENGINE_TRACE` — even when `--engine-trace-out`
-    // overrides it, a malformed env value must fail here.
-    let _ = engine_trace_from_env();
+    let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
+    let store = env.open_stores().unwrap_or_else(|e| die(e)).store;
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = default_threads();
+    let mut threads = env.threads;
     if let Some(v) = take_flag(&mut args, "--threads") {
         match v.parse::<usize>() {
             Ok(n) if n >= 1 => threads = n,
@@ -81,23 +78,21 @@ fn main() {
     // validated strictly (empty value exits 2).
     let engine_trace_out = match take_flag(&mut args, "--engine-trace-out") {
         Some(v) => {
-            let EngineTracePath(p) = v.parse().unwrap_or_else(|e| {
-                eprintln!("error: --engine-trace-out {v:?} is not a valid value: {e}");
-                std::process::exit(2);
+            let NonEmptyPath(p) = v.parse().unwrap_or_else(|e| {
+                die(format!(
+                    "--engine-trace-out {v:?} is not a valid value: {e}"
+                ))
             });
             Some(p)
         }
-        None => engine_trace_from_env(),
+        None => env.engine_trace.clone(),
     };
-    // Positional length, strictly parsed — a typo like `100_000` must not
-    // silently fall back to the default. `RFP_TRACE_LEN` (also strict)
+    // Positional length, under the `RFP_TRACE_LEN` rule — a typo like
+    // `100_000`, or a zero-length sweep, must not run. `RFP_TRACE_LEN`
     // applies when no positional length is given.
     let len: u64 = match args.first() {
-        Some(s) => s.parse().unwrap_or_else(|e| {
-            eprintln!("error: trace length {s:?} is not a valid value: {e}");
-            std::process::exit(2);
-        }),
-        None => rfp_bench::trace_len_from_env(100_000),
+        Some(s) => RunEnv::len_arg(s).unwrap_or_else(|e| die(e)),
+        None => env.trace_len.unwrap_or(100_000),
     };
     let t0 = std::time::Instant::now();
     // All four configurations go into one work-stealing grid so the
@@ -111,13 +106,14 @@ fn main() {
         CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf),
         CoreConfig::tiger_lake().with_oracle(OracleMode::MemToLlc),
     ];
-    // Same semantics as `run_grid_full`, but against an explicit pool so
-    // the engine self-tracer can be armed when a trace was requested.
+    // The engine self-tracer is armed only when a trace was requested.
     let tracer = engine_trace_out
         .as_ref()
         .map(|_| Arc::new(EngineTracer::new()));
-    let pool = WarmPool::from_env(len).with_tracer(tracer.clone());
-    let outcome = run_grid_pooled(
+    let pool = WarmPool::with_sim(env.warm, env.sim, len)
+        .with_store(store)
+        .with_tracer(tracer.clone());
+    let outcome = run_grid(
         &pool,
         &configs,
         threads,
@@ -140,10 +136,7 @@ fn main() {
     // I/O failures on side outputs are usage errors (bad path, full
     // disk), not bugs — report the file and exit 2 instead of panicking.
     let write_or_die = |path: &str, contents: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
     };
     if let Some(file) = &metrics_out {
         write_or_die(file, &metrics_reports_json(&rfp_cfg, len, &rfp));
@@ -158,10 +151,7 @@ fn main() {
             eprintln!("unknown --trace-workload '{trace_workload}'");
             std::process::exit(2);
         });
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: mkdir {dir}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
         write_or_die(&path, &trace_workload_json(&rfp_cfg, &w, len));
         eprintln!("wrote pipeline trace to {path} (load in Perfetto or chrome://tracing)");
@@ -179,7 +169,8 @@ fn main() {
             &outcome.telemetry,
             &pool_stats,
             store_stats.as_ref(),
-        );
+        )
+        .unwrap_or_else(|e| die(e));
         eprintln!(
             "wrote engine trace ({} spans) to {} (load in Perfetto or chrome://tracing)",
             tracer.spans().len(),

@@ -11,8 +11,8 @@
 //! `RFP_TRACE_LEN` to change the measured micro-ops per workload (default
 //! 120000). `--threads N` (or `RFP_THREADS`) sizes the work-stealing pool;
 //! the default is the machine's available parallelism. `RFP_WARM_MODE`
-//! (`off` | `exact` | `checkpoint`, default `exact`) controls warm-state
-//! sharing across the grid; `off` and `exact` are byte-identical. Output
+//! (`off` | `exact`, default `exact`) controls warm-state sharing across
+//! the grid; the two are byte-identical. Output
 //! is byte-identical at any thread count. `RFP_SIM_MODE` (`full` | `sample`,
 //! default `full`) switches on phase-sampled simulation: intervals are
 //! clustered by basic-block vector, one representative per phase is
@@ -69,17 +69,20 @@
 //! worst window is rendered as a pipeline table. `--konata-out` writes a
 //! `Kanata 0004` log loadable in the Konata O3 viewer.
 //!
+//! Every `RFP_*` variable is parsed once, before anything else runs
+//! ([`RunEnv`]): a malformed value, or a store or ledger directory that
+//! cannot be opened, exits 2 naming the variable.
+//!
 //! Run `experiments --help` for the generated subcommand/flag/env tables.
 
 use std::sync::Arc;
 
 use rfp_bench::{
-    default_threads, diff_metrics_with, engine_trace_from_env, history_export_json,
-    history_store_from_env, inspect_windows_from_env, inspect_workload, parse_trend_tolerances,
+    diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
     render_history_list, render_history_show, render_report, render_store_stats,
-    sampling_error_report_json, telemetry_jsonl, trace_len_from_env, trace_workload_json,
-    trend_rows, write_engine_trace, EngineTracePath, ExpStore, Harness, HistoryLedger,
-    ReportInputs, ReportPath, RunRecord, WarmPool, DEFAULT_TRACE_LEN,
+    sampling_error_report_json, telemetry_jsonl, trace_workload_json, trend_rows,
+    write_engine_trace, EnvStores, ExpStore, Harness, HistoryLedger, NonEmptyPath, ReportInputs,
+    RunEnv, RunRecord, WarmPool, DEFAULT_TRACE_LEN, KNOBS,
 };
 use rfp_core::{CoreConfig, OracleMode};
 use rfp_obs::EngineTracer;
@@ -206,47 +209,15 @@ fn push_table(out: &mut String, rows: &[(String, String)]) {
 }
 
 /// The full usage text, generated from [`SUBCOMMANDS`], [`SIDE_FLAGS`],
-/// the harness's id list and the env-knob table — nothing hand-drifted.
+/// the harness's id list and the env-knob table ([`KNOBS`]) — nothing
+/// hand-drifted.
 fn usage() -> String {
     let own = |rows: &[(&str, &str)]| -> Vec<(String, String)> {
         rows.iter()
             .map(|&(n, d)| (n.to_string(), d.to_string()))
             .collect()
     };
-    let env_rows = vec![
-        (
-            "RFP_TRACE_LEN".to_string(),
-            format!("measured uops per workload (default {DEFAULT_TRACE_LEN})"),
-        ),
-        (
-            "RFP_THREADS".to_string(),
-            "default worker count".to_string(),
-        ),
-        (
-            "RFP_WARM_MODE".to_string(),
-            "off | exact | checkpoint (default exact)".to_string(),
-        ),
-        (
-            "RFP_SIM_MODE".to_string(),
-            "full | sample (default full)".to_string(),
-        ),
-        (
-            "RFP_INSPECT_WINDOWS".to_string(),
-            "capture-window budget for inspect (default 4)".to_string(),
-        ),
-        (
-            "RFP_STORE".to_string(),
-            "persistent experiment store directory (off when unset)".to_string(),
-        ),
-        (
-            "RFP_HISTORY".to_string(),
-            "run-history ledger directory (falls back to RFP_STORE)".to_string(),
-        ),
-        (
-            "RFP_ENGINE_TRACE".to_string(),
-            "engine self-trace output path (off when unset)".to_string(),
-        ),
-    ];
+    let env_rows: Vec<(&str, &str)> = KNOBS.iter().map(|k| (k.var, k.help)).collect();
     let mut out = String::from("usage: experiments [flags] <subcommand>\n\nsubcommands:\n");
     push_table(&mut out, &own(SUBCOMMANDS));
     out.push_str(&format!(
@@ -256,25 +227,25 @@ fn usage() -> String {
     ));
     push_table(&mut out, &own(SIDE_FLAGS));
     out.push_str("\nenv:\n");
-    push_table(&mut out, &env_rows);
+    push_table(&mut out, &own(&env_rows));
     out
 }
 
-/// Reads a file or exits with code 2 and a contextual message — I/O
-/// problems are usage errors here, not bugs worth a backtrace.
+/// Prints `error: {msg}` and exits 2 — configuration and I/O problems
+/// are usage errors here, not bugs worth a backtrace.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Reads a file or exits with code 2 and a contextual message.
 fn read_or_die(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: read {path}: {e}");
-        std::process::exit(2);
-    })
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("read {path}: {e}")))
 }
 
 /// Writes a file or exits with code 2 and a contextual message.
 fn write_or_die(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("error: write {path}: {e}");
-        std::process::exit(2);
-    });
+    std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
 }
 
 /// Removes `--flag value` from `args`, returning the value.
@@ -300,16 +271,25 @@ fn take_bare(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// Opens the store rooted at `dir`, or exits 2 naming `origin`.
+fn open_store(dir: &std::path::Path, origin: &str) -> Arc<ExpStore> {
+    ExpStore::open_named(dir, origin).unwrap_or_else(|e| die(e))
+}
+
 /// Resolves the persistent store from flags and environment: `--no-store`
-/// wins, then `--store DIR`, then `RFP_STORE`. Malformed or unwritable
-/// values exit 2 with a contextual message.
-fn resolve_store(store_flag: Option<&str>, no_store: bool) -> Option<Arc<ExpStore>> {
+/// wins, then `--store DIR`, then `RFP_STORE`. An unwritable `--store`
+/// exits 2 with a contextual message.
+fn resolve_store(
+    env: &EnvStores,
+    store_flag: Option<&str>,
+    no_store: bool,
+) -> Option<Arc<ExpStore>> {
     if no_store {
         return None;
     }
     match store_flag {
-        Some(dir) => Some(ExpStore::open_or_die(std::path::Path::new(dir), "--store")),
-        None => ExpStore::from_env(),
+        Some(dir) => Some(open_store(dir.as_ref(), "--store")),
+        None => env.store.clone(),
     }
 }
 
@@ -318,6 +298,7 @@ fn resolve_store(store_flag: Option<&str>, no_store: bool) -> Option<Arc<ExpStor
 /// (`--store`/`RFP_STORE`) — the ledger is the `history/` tier of the
 /// same on-disk layout, so a store root doubles as a ledger root.
 fn resolve_history(
+    env: &EnvStores,
     history_flag: Option<&str>,
     no_history: bool,
     store_flag: Option<&str>,
@@ -327,12 +308,11 @@ fn resolve_history(
         return None;
     }
     if let Some(dir) = history_flag {
-        return Some(ExpStore::open_or_die(
-            std::path::Path::new(dir),
-            "--history",
-        ));
+        return Some(open_store(dir.as_ref(), "--history"));
     }
-    history_store_from_env().or_else(|| resolve_store(store_flag, no_store))
+    env.history
+        .clone()
+        .or_else(|| resolve_store(env, store_flag, no_store))
 }
 
 /// Exits 2 with the shared "no ledger" message.
@@ -345,15 +325,12 @@ fn no_ledger_configured() -> ! {
 }
 
 fn main() {
-    // Validate every env knob up front so a malformed value fails the
-    // pipeline at its first command instead of mid-sweep (the values are
-    // re-read where they're used). `RFP_STORE` is validated (and its
-    // directories created) here too: an empty or unwritable store path
-    // must fail the sweep's first command, not its last.
-    let _ = inspect_windows_from_env();
-    let _ = ExpStore::from_env();
-    let _ = history_store_from_env();
-    let _ = engine_trace_from_env();
+    // Parse every env knob up front so a malformed value fails the
+    // pipeline at its first command instead of mid-sweep. The store and
+    // ledger directories are opened (and created) here too: an unwritable
+    // store path must fail the sweep's first command, not its last.
+    let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
+    let env_stores = env.open_stores().unwrap_or_else(|e| die(e));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // The report generator is pure file folding — dispatch before any
     // simulation setup.
@@ -366,10 +343,9 @@ fn main() {
             );
             std::process::exit(2);
         });
-        let ReportPath(out) = out.parse().unwrap_or_else(|e| {
-            eprintln!("error: --report-out {out:?} is not a valid value: {e}");
-            std::process::exit(2);
-        });
+        let NonEmptyPath(out) = out
+            .parse()
+            .unwrap_or_else(|e| die(format!("--report-out {out:?} is not a valid value: {e}")));
         let inputs = ReportInputs {
             metrics: take_flag(&mut args, "--metrics").map(|p| read_or_die(&p)),
             profile: take_flag(&mut args, "--profile").map(|p| read_or_die(&p)),
@@ -385,10 +361,7 @@ fn main() {
             std::process::exit(2);
         }
         match render_report(&inputs) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(e),
             Ok(html) => {
                 write_or_die(&out.display().to_string(), &html);
                 eprintln!("wrote dashboard to {}", out.display());
@@ -401,9 +374,8 @@ fn main() {
     if args.first().map(String::as_str) == Some("store") {
         let store_flag = take_flag(&mut args, "--store");
         let no_store = take_bare(&mut args, "--no-store");
-        let Some(store) = resolve_store(store_flag.as_deref(), no_store) else {
-            eprintln!("error: no store configured (set RFP_STORE or pass --store DIR)");
-            std::process::exit(2);
+        let Some(store) = resolve_store(&env_stores, store_flag.as_deref(), no_store) else {
+            die("no store configured (set RFP_STORE or pass --store DIR)")
         };
         match args.get(1).map(String::as_str) {
             Some("stats") if args.len() == 2 => {
@@ -417,8 +389,7 @@ fn main() {
                     std::process::exit(2);
                 });
                 let max: u64 = max.parse().unwrap_or_else(|e| {
-                    eprintln!("error: --max-bytes {max:?} is not a valid value: {e}");
-                    std::process::exit(2);
+                    die(format!("--max-bytes {max:?} is not a valid value: {e}"))
                 });
                 if args.len() != 2 {
                     eprintln!("usage: experiments store gc --max-bytes N [--include-history]");
@@ -450,6 +421,7 @@ fn main() {
         let store_flag = take_flag(&mut args, "--store");
         let no_store = take_bare(&mut args, "--no-store");
         let Some(store) = resolve_history(
+            &env_stores,
             history_flag.as_deref(),
             no_history,
             store_flag.as_deref(),
@@ -492,10 +464,7 @@ fn main() {
                 )
                 .and_then(|r| ledger.add(r));
                 match outcome {
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
+                    Err(e) => die(e),
                     Ok(seq) => {
                         println!("recorded run {label:?} as ledger seq {seq}");
                         std::process::exit(0);
@@ -530,10 +499,7 @@ fn main() {
         let no_store = take_bare(&mut args, "--no-store");
         let tolerances = match take_flag(&mut args, "--tolerances").map(|p| read_or_die(&p)) {
             None => Vec::new(),
-            Some(text) => parse_trend_tolerances(&text).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }),
+            Some(text) => parse_trend_tolerances(&text).unwrap_or_else(|e| die(e)),
         };
         let mut params = TrendParams::default();
         if let Some(w) = take_flag(&mut args, "--window") {
@@ -550,6 +516,7 @@ fn main() {
             std::process::exit(2);
         }
         let Some(store) = resolve_history(
+            &env_stores,
             history_flag.as_deref(),
             no_history,
             store_flag.as_deref(),
@@ -576,10 +543,7 @@ fn main() {
         let baseline = read_or_die(&args[1]);
         let candidate = read_or_die(&args[2]);
         match diff_metrics_with(&baseline, &candidate, tolerances.as_deref()) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(e),
             Ok(out) => {
                 println!("{}", out.render());
                 std::process::exit(if out.clean() { 0 } else { 1 });
@@ -594,10 +558,7 @@ fn main() {
         let full = read_or_die(&args[1]);
         let sampled = read_or_die(&args[2]);
         match sampling_error_report_json(&full, &sampled) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(e),
             Ok(report) => {
                 print!("{report}");
                 std::process::exit(0);
@@ -613,14 +574,10 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let windows = inspect_windows_from_env();
-        let len = trace_len_from_env(DEFAULT_TRACE_LEN);
+        let len = env.trace_len.unwrap_or(DEFAULT_TRACE_LEN);
         let cfg = CoreConfig::tiger_lake().with_rfp();
-        match inspect_workload(&args[1], &cfg, len, windows) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        match inspect_workload(&args[1], &cfg, len, env.inspect_windows) {
+            Err(e) => die(e),
             Ok(o) => {
                 print!("{}", o.render());
                 if let Some(file) = &inspect_out {
@@ -635,7 +592,7 @@ fn main() {
             }
         }
     }
-    let mut threads = default_threads();
+    let mut threads = env.threads;
     if let Some(v) = take_flag(&mut args, "--threads") {
         match v.parse::<usize>() {
             Ok(n) if n >= 1 => threads = n,
@@ -663,6 +620,7 @@ fn main() {
     let ledger = match &run_label {
         None => None,
         Some(_) => match resolve_history(
+            &env_stores,
             history_flag.as_deref(),
             no_history,
             store_flag.as_deref(),
@@ -684,13 +642,14 @@ fn main() {
     // validated strictly (empty value exits 2).
     let engine_trace_out = match take_flag(&mut args, "--engine-trace-out") {
         Some(v) => {
-            let EngineTracePath(p) = v.parse().unwrap_or_else(|e| {
-                eprintln!("error: --engine-trace-out {v:?} is not a valid value: {e}");
-                std::process::exit(2);
+            let NonEmptyPath(p) = v.parse().unwrap_or_else(|e| {
+                die(format!(
+                    "--engine-trace-out {v:?} is not a valid value: {e}"
+                ))
             });
             Some(p)
         }
-        None => engine_trace_from_env(),
+        None => env.engine_trace.clone(),
     };
     let side_outputs = trace_out.is_some()
         || metrics_out.is_some()
@@ -708,7 +667,7 @@ fn main() {
             0
         });
     }
-    let len = trace_len_from_env(DEFAULT_TRACE_LEN);
+    let len = env.trace_len.unwrap_or(DEFAULT_TRACE_LEN);
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
         Harness::ALL_IDS.to_vec()
     } else {
@@ -730,8 +689,8 @@ fn main() {
     let tracer = engine_trace_out
         .as_ref()
         .map(|_| Arc::new(EngineTracer::new()));
-    let pool = WarmPool::from_env(len)
-        .with_store(resolve_store(store_flag.as_deref(), no_store))
+    let pool = WarmPool::with_sim(env.warm, env.sim, len)
+        .with_store(resolve_store(&env_stores, store_flag.as_deref(), no_store))
         .with_tracer(tracer.clone());
     let mut h = Harness::with_pool(len, threads, pool);
     let t0 = std::time::Instant::now();
@@ -799,10 +758,7 @@ fn main() {
         )
         .and_then(|r| ledger.add(r));
         match outcome {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(e),
             Ok(seq) => eprintln!("recorded run {label:?} as ledger seq {seq}"),
         }
     }
@@ -811,10 +767,7 @@ fn main() {
             eprintln!("unknown --trace-workload '{trace_workload}'");
             std::process::exit(2);
         });
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: mkdir {dir}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
         write_or_die(&path, &trace_workload_json(&rfp_cfg, &w, len));
         eprintln!("wrote pipeline trace to {path} (load in Perfetto or chrome://tracing)");
@@ -840,7 +793,8 @@ fn main() {
             h.job_telemetry(),
             &pool_stats,
             store_stats.as_ref(),
-        );
+        )
+        .unwrap_or_else(|e| die(e));
         eprintln!(
             "wrote engine trace ({} spans) to {} (load in Perfetto or chrome://tracing)",
             tracer.spans().len(),

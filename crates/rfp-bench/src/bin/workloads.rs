@@ -14,12 +14,12 @@
 //! its per-load-PC attribution profile. The stdout description is
 //! unchanged.
 //!
-//! Env (strictly parsed, malformed values exit 2): `RFP_TRACE_LEN=<uops>`,
-//! `RFP_SIM_MODE=full|sample` and `RFP_ENGINE_TRACE=<path>`. The
-//! single-workload observability path here is always full-fidelity and
-//! runs no grid, but a malformed value still fails fast so scripts that
+//! Env: `RFP_TRACE_LEN=<uops>`. Every other `RFP_*` knob is parsed too
+//! ([`RunEnv`]) and the store and ledger directories are opened, though
+//! this bin runs no grid: a malformed value exits 2 so scripts that
 //! export one for a whole pipeline can't half work.
 
+use rfp_bench::RunEnv;
 use rfp_stats::TextTable;
 use rfp_trace::{AddrPattern, StaticKind, WorkingSetClass, Workload};
 
@@ -64,6 +64,12 @@ fn describe(w: &Workload) {
     }
 }
 
+/// Prints `error: {msg}` and exits 2.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// Removes `--flag value` from `args`, returning the value.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
@@ -76,16 +82,17 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
-/// Simulates `w` under the RFP config with every observability sink
-/// attached and writes whichever outputs were requested.
+/// Simulates `w` for `len` uops under the RFP config with every
+/// observability sink attached and writes whichever outputs were
+/// requested.
 fn observe(
     w: &Workload,
+    len: u64,
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
     profile_out: Option<&str>,
 ) {
     use rfp_obs::{ChromeTraceSink, MetricsSink, ProfileSink, TeeProbe};
-    let len = rfp_bench::trace_len_from_env(rfp_bench::DEFAULT_TRACE_LEN);
     let cfg = rfp_core::CoreConfig::tiger_lake().with_rfp();
     let tee = TeeProbe::new(
         TeeProbe::new(ChromeTraceSink::new(cfg.rob_entries), MetricsSink::new()),
@@ -94,16 +101,10 @@ fn observe(
     let (_report, tee) =
         rfp_core::simulate_workload_probed(&cfg, w, len, tee).expect("valid config");
     let write_or_die = |path: &str, contents: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
     };
     if let Some(dir) = trace_out {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: mkdir {dir}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
         write_or_die(&path, &tee.a.a.into_json());
         eprintln!("wrote pipeline trace to {path} (load in Perfetto or chrome://tracing)");
@@ -129,35 +130,9 @@ fn observe(
 }
 
 fn main() {
-    // Accept `--threads N` for CLI symmetry with the other bins; this
-    // tool only prints static suite metadata, so it's a documented no-op.
-    // Validate `RFP_SIM_MODE` even though the single-workload trace path
-    // is always full-fidelity: a malformed value exits 2 here exactly as
-    // it would in `experiments`/`calibrate`, so a typo'd export fails the
-    // whole pipeline at its first command instead of half-applying.
-    let _ = rfp_bench::SimMode::from_env();
-    // Same deal for `RFP_INSPECT_WINDOWS` (used by `experiments inspect`),
-    // `RFP_STORE` (the persistent experiment store), and `RFP_HISTORY`
-    // (the run-history ledger): this bin never touches them, but a
-    // malformed export must not half-work across a pipeline that also
-    // runs `experiments`.
-    let _ = rfp_bench::inspect_windows_from_env();
-    let _ = rfp_bench::ExpStore::from_env();
-    let _ = rfp_bench::history_store_from_env();
-    let _ = rfp_bench::engine_trace_from_env();
+    let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
+    env.open_stores().unwrap_or_else(|e| die(e));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        args.drain(i..(i + 2).min(args.len()));
-    }
-    // Accept `--engine-trace-out FILE` for CLI symmetry too: this bin
-    // runs no grid, so there is no engine to trace — validated, then a
-    // documented no-op.
-    if let Some(v) = take_flag(&mut args, "--engine-trace-out") {
-        let _: rfp_bench::EngineTracePath = v.parse().unwrap_or_else(|e| {
-            eprintln!("error: --engine-trace-out {v:?} is not a valid value: {e}");
-            std::process::exit(2);
-        });
-    }
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");
     let profile_out = take_flag(&mut args, "--profile-out");
@@ -169,6 +144,7 @@ fn main() {
                 if side_outputs {
                     observe(
                         &w,
+                        env.trace_len.unwrap_or(rfp_bench::DEFAULT_TRACE_LEN),
                         trace_out.as_deref(),
                         metrics_out.as_deref(),
                         profile_out.as_deref(),

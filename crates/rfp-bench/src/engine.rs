@@ -30,68 +30,13 @@ use rfp_types::{fnv1a_64, json_escape};
 
 use crate::store::{self, ExpStore, Tier};
 
-/// Reads environment variable `name` and parses it as `T`.
-///
-/// Returns `None` when the variable is unset. When it is set but
-/// malformed, exits the process with a clear error instead of silently
-/// falling back — `RFP_TRACE_LEN=120_000` used to quietly run the default
-/// length, which is exactly the kind of mistake that wastes a sweep.
-pub fn env_parsed<T: std::str::FromStr>(name: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("error: {name}={raw:?} is not a valid value: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `RFP_TRACE_LEN` with strict parsing ([`env_parsed`]), or `default`
-/// when unset. Zero-length runs are rejected too.
-pub fn trace_len_from_env(default: u64) -> u64 {
-    match env_parsed::<u64>("RFP_TRACE_LEN") {
-        Some(0) => {
-            eprintln!("error: RFP_TRACE_LEN must be >= 1");
-            std::process::exit(2);
-        }
-        Some(n) => n,
-        None => default,
-    }
-}
-
-/// `RFP_INSPECT_WINDOWS` — how many anomalous capture windows
-/// `experiments inspect` records — with strict parsing ([`env_parsed`]),
-/// defaulting to 4. Zero windows would capture nothing and is rejected.
-pub fn inspect_windows_from_env() -> usize {
-    match env_parsed::<usize>("RFP_INSPECT_WINDOWS") {
-        Some(0) => {
-            eprintln!("error: RFP_INSPECT_WINDOWS must be >= 1");
-            std::process::exit(2);
-        }
-        Some(n) => n,
-        None => 4,
-    }
-}
-
-/// Worker-thread count to use when the caller doesn't override it:
-/// the `RFP_THREADS` environment variable if set (strictly parsed — a
-/// malformed or zero value is an error, not a silent fallback), otherwise
-/// the machine's available parallelism.
+/// Worker-thread count to use when the caller doesn't name one: the
+/// machine's available parallelism (`RFP_THREADS` overrides it through
+/// [`RunEnv`](crate::RunEnv) in the bins).
 pub fn default_threads() -> usize {
-    match env_parsed::<usize>("RFP_THREADS") {
-        Some(0) => {
-            eprintln!("error: RFP_THREADS must be >= 1");
-            std::process::exit(2);
-        }
-        Some(n) => n,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
 /// Content hash of a configuration (FNV-1a over its `Debug` rendering).
@@ -115,6 +60,7 @@ pub fn config_key(cfg: &CoreConfig) -> u64 {
 }
 
 /// How the engine reuses warmup work across the grid (`RFP_WARM_MODE`).
+/// Both modes give byte-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmMode {
     /// No snapshotting at all: every job re-runs its own warmup through
@@ -125,33 +71,26 @@ pub enum WarmMode {
     /// to straight-through runs by construction.
     #[default]
     Exact,
-    /// [`WarmMode::Exact`] plus approximate cross-config sharing: configs
-    /// that differ only in measurement-phase features (RFP, VP) warm up
-    /// once under a common *twin* baseline and transplant its caches and
-    /// predictors ([`WarmState::transplant`]). Fast, but measured numbers
-    /// are an approximation — keep it out of publication sweeps.
-    Checkpoint,
 }
 
 impl WarmMode {
-    /// Parses `RFP_WARM_MODE` (`off` | `exact` | `checkpoint`; unset means
-    /// `exact`), exiting with a clear error on anything else.
-    pub fn from_env() -> Self {
-        match std::env::var("RFP_WARM_MODE")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            None | Some("") | Some("exact") => WarmMode::Exact,
-            Some("off") => WarmMode::Off,
-            Some("checkpoint") => WarmMode::Checkpoint,
-            Some(other) => {
-                eprintln!(
-                    "error: RFP_WARM_MODE={other:?} is not a valid value \
-                     (expected off, exact, or checkpoint)"
-                );
-                std::process::exit(2);
-            }
+    /// The mode's name, as `RFP_WARM_MODE` spells it.
+    pub fn label(self) -> &'static str {
+        match self {
+            WarmMode::Off => "off",
+            WarmMode::Exact => "exact",
+        }
+    }
+}
+
+impl std::str::FromStr for WarmMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "" | "exact" => Ok(WarmMode::Exact),
+            "off" => Ok(WarmMode::Off),
+            other => Err(format!("expected off or exact, got {other:?}")),
         }
     }
 }
@@ -172,6 +111,16 @@ pub enum SimMode {
     Sample,
 }
 
+impl SimMode {
+    /// The mode's name, as `RFP_SIM_MODE` spells it.
+    pub fn label(self) -> &'static str {
+        match self {
+            SimMode::Full => "full",
+            SimMode::Sample => "sample",
+        }
+    }
+}
+
 impl std::str::FromStr for SimMode {
     type Err = String;
 
@@ -181,14 +130,6 @@ impl std::str::FromStr for SimMode {
             "sample" => Ok(SimMode::Sample),
             other => Err(format!("expected full or sample, got {other:?}")),
         }
-    }
-}
-
-impl SimMode {
-    /// Parses `RFP_SIM_MODE` strictly ([`env_parsed`]; `full` | `sample`);
-    /// unset means [`SimMode::Full`].
-    pub fn from_env() -> Self {
-        env_parsed::<SimMode>("RFP_SIM_MODE").unwrap_or_default()
     }
 }
 
@@ -316,12 +257,12 @@ pub fn warm_key(cfg: &CoreConfig) -> u64 {
     config_key(&warm_projection(cfg))
 }
 
-/// The *twin* of a configuration for [`WarmMode::Checkpoint`]: the same
+/// The *twin* of a configuration for [`SimMode::Sample`]: the same
 /// memory hierarchy, branch handling, and core sizing, but with the
 /// measurement-phase features (RFP, value prediction, dedicated RFP
 /// ports) stripped, then projected. Every config in a typical sweep that
 /// varies only those features collapses onto one twin, whose warm caches
-/// and predictors are transplanted into each measured config.
+/// and predictors are transplanted into each sampled window.
 pub fn warm_twin(cfg: &CoreConfig) -> CoreConfig {
     let mut c = cfg.clone();
     c.rfp = None;
@@ -339,7 +280,7 @@ pub struct WarmPoolStats {
     pub snapshot_hits: u64,
     /// Snapshots built (first touch of a `(key, workload)` cell).
     pub snapshot_misses: u64,
-    /// Checkpoint-mode transplants performed.
+    /// Sampled windows transplanted from a twin snapshot.
     pub transplants: u64,
     /// Workload traces synthesized (first touch + post-eviction rebuilds).
     pub trace_builds: u64,
@@ -353,11 +294,7 @@ impl WarmPoolStats {
     /// Renders the stats as one JSONL line, appended to `--telemetry-out`
     /// streams so CI can assert the pool actually worked.
     pub fn jsonl_line(&self) -> String {
-        let mode = match self.mode {
-            WarmMode::Off => "off",
-            WarmMode::Exact => "exact",
-            WarmMode::Checkpoint => "checkpoint",
-        };
+        let mode = self.mode.label();
         format!(
             "{{\"warm_pool\":{{\"schema\":{TELEMETRY_SCHEMA_VERSION},\
              \"mode\":\"{mode}\",\"snapshot_hits\":{},\
@@ -452,18 +389,8 @@ impl WarmPool {
         }
     }
 
-    /// [`WarmPool::with_sim`] with both modes taken from the environment
-    /// (`RFP_WARM_MODE`, `RFP_SIM_MODE`), plus the persistent store when
-    /// `RFP_STORE` is set.
-    pub fn from_env(len: u64) -> Self {
-        Self::with_sim(WarmMode::from_env(), SimMode::from_env(), len)
-            .with_store(ExpStore::from_env())
-    }
-
-    /// Replaces the pool's persistent store (`None` disables it). The
-    /// builder form keeps test pools store-free by default while letting
-    /// binaries override the `RFP_STORE` environment resolution
-    /// (`--store` / `--no-store`).
+    /// Replaces the pool's persistent store (`None`, the default,
+    /// disables it).
     pub fn with_store(mut self, store: Option<Arc<ExpStore>>) -> Self {
         self.store = store;
         self
@@ -510,7 +437,7 @@ impl WarmPool {
     pub fn pin_config(&self, cfg: &CoreConfig) {
         let mut pinned = self.pinned.lock().expect("pinned lock");
         pinned.insert(warm_key(cfg));
-        if self.mode == WarmMode::Checkpoint || self.sim == SimMode::Sample {
+        if self.sim == SimMode::Sample {
             pinned.insert(config_key(&warm_twin(cfg)));
         }
     }
@@ -743,8 +670,8 @@ impl WarmPool {
 struct JobPlan {
     /// [`warm_key`] of the config.
     exact: u64,
-    /// Checkpoint or sampled runs only: the twin's key and (projected)
-    /// config, when the config is *not* its own twin.
+    /// Sampled runs only: the twin's key and (projected) config, when
+    /// the config is *not* its own twin.
     twin: Option<(u64, CoreConfig)>,
     /// Whether a snapshot is worth building: its sharing key occurs at
     /// least twice in the grid, or is pinned.
@@ -757,7 +684,7 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
         .iter()
         .map(|cfg| {
             let exact = warm_key(cfg);
-            let twin = if pool.mode == WarmMode::Checkpoint || pool.sim == SimMode::Sample {
+            let twin = if pool.sim == SimMode::Sample {
                 let twin_cfg = warm_twin(cfg);
                 let twin_key = config_key(&twin_cfg);
                 (twin_key != exact).then_some((twin_key, twin_cfg))
@@ -806,13 +733,6 @@ fn pooled_job(
         return sampled_job(pool, cfg, plan, suite, wi, collect_obs);
     }
     let w = &suite[wi];
-    let attach = |stats, sink: Option<ObsSinks>| {
-        let mut r = report_for(w, stats);
-        if let Some(sink) = sink {
-            attach_obs(&mut r, sink);
-        }
-        r
-    };
     if pool.mode == WarmMode::Off {
         let report = if collect_obs {
             let (mut r, sink) =
@@ -850,35 +770,18 @@ fn pooled_job(
         };
         return (report, "straight");
     }
-    match &plan.twin {
-        None => {
-            let snap = pool.snapshot(cfg, plan.exact, suite, wi);
-            let trace = pool.trace(suite, wi);
-            let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
-            let report = if collect_obs {
-                let (stats, sink) = snap.resume_probed(rest, obs_sinks());
-                attach(stats, Some(sink))
-            } else {
-                attach(snap.resume(rest), None)
-            };
-            (report, "fork")
-        }
-        Some((twin_key, twin_cfg)) => {
-            let snap = pool.snapshot(twin_cfg, *twin_key, suite, wi);
-            pool.transplants.fetch_add(1, Ordering::Relaxed);
-            let trace = pool.trace(suite, wi);
-            let measured = trace.ops()[pool.warmup as usize..].iter().copied();
-            let report = if collect_obs {
-                let (stats, sink) = snap
-                    .transplant_probed(cfg, measured, obs_sinks())
-                    .expect("valid config");
-                attach(stats, Some(sink))
-            } else {
-                attach(snap.transplant(cfg, measured).expect("valid config"), None)
-            };
-            (report, "transplant")
-        }
-    }
+    let snap = pool.snapshot(cfg, plan.exact, suite, wi);
+    let trace = pool.trace(suite, wi);
+    let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
+    let report = if collect_obs {
+        let (stats, sink) = snap.resume_probed(rest, obs_sinks());
+        let mut r = report_for(w, stats);
+        attach_obs(&mut r, sink);
+        r
+    } else {
+        report_for(w, snap.resume(rest))
+    };
+    (report, "fork")
 }
 
 /// Simulates one sampled window: up to [`SAMPLE_WARM_PREFIX`] ops of
@@ -1062,11 +965,11 @@ pub struct JobTelemetry {
     /// Host wall time the simulation took.
     pub wall_nanos: u64,
     /// Warm path that served the job: `"off"` (legacy, pool disabled),
-    /// `"straight"` (memoized trace, own warmup), `"fork"` (resumed a
-    /// shared snapshot), or `"transplant"` (checkpoint-mode twin). Under
-    /// [`SimMode::Sample`]: `"sample-fork"` / `"sample-transplant"`
-    /// (phase-sampled windows off the twin snapshot) or `"sample-full"`
-    /// (degenerate short run, simulated in full). `"store"` means the
+    /// `"straight"` (memoized trace, own warmup), or `"fork"` (resumed a
+    /// shared snapshot). Under [`SimMode::Sample`]: `"sample-fork"` /
+    /// `"sample-transplant"` (phase-sampled windows off the twin
+    /// snapshot) or `"sample-full"` (degenerate short run, simulated in
+    /// full). `"store"` means the
     /// whole job was served from the persistent result store and nothing
     /// was simulated.
     pub warm: &'static str,
@@ -1083,8 +986,8 @@ pub struct JobTelemetry {
     pub store_bytes_written: u64,
 }
 
-/// Everything one work-stealing grid run produces: the suite-ordered
-/// reports (as [`run_grid`]) plus per-job telemetry sorted by grid
+/// Everything one work-stealing grid run produces: one suite-ordered
+/// report vector per config plus per-job telemetry sorted by grid
 /// position.
 #[derive(Debug)]
 pub struct GridOutcome {
@@ -1095,67 +998,24 @@ pub struct GridOutcome {
 }
 
 /// Simulates the whole workload suite under every config in `configs`
-/// on `threads` work-stealing workers, returning one suite-ordered
-/// report vector per config (in `configs` order).
+/// on `threads` work-stealing workers, through `pool` (which fixes the
+/// measured length, the warm and sim modes, the store and the tracer,
+/// and shares its snapshots across grids). With `collect_obs` every
+/// simulation carries the latency-metrics, CPI-stack and profile sinks.
 ///
 /// The job grid is `(config, workload)` pairs; a shared atomic index
-/// hands the next job to whichever worker frees up first. Output is
-/// deterministic and thread-count-independent: jobs land in slots keyed
-/// by grid position and each simulation is internally seeded.
+/// hands the next job to whichever worker frees up first. Jobs are
+/// claimed in *workload-major* order — all configs of workload 0, then
+/// workload 1 — so the jobs that share a snapshot run close together and
+/// the pool can evict each workload's band as soon as its last job
+/// retires. Reports land in config-major grid positions and each
+/// simulation is internally seeded, so output is byte-identical at every
+/// thread count (see `tests/parallel_determinism.rs`).
 ///
 /// # Panics
 ///
 /// Panics if a config is invalid or a worker thread panics.
-pub fn run_grid(configs: &[CoreConfig], len: u64, threads: usize) -> Vec<Vec<SimReport>> {
-    run_grid_full(configs, len, threads, false).reports
-}
-
-/// [`run_grid`] with a `MetricsSink` attached to every simulation: each
-/// returned report carries `obs` latency histograms covering its
-/// measured window.
-///
-/// The histograms are per-job and land in slots keyed by grid position,
-/// so — like the plain reports — they are byte-identical at any thread
-/// count (see `tests/parallel_determinism.rs`).
-///
-/// # Panics
-///
-/// Panics if a config is invalid or a worker thread panics.
-pub fn run_grid_obs(configs: &[CoreConfig], len: u64, threads: usize) -> Vec<Vec<SimReport>> {
-    run_grid_full(configs, len, threads, true).reports
-}
-
-/// The full-fat grid runner behind [`run_grid`] and [`run_grid_obs`]:
-/// optionally instruments every simulation with a metrics sink
-/// (`collect_obs`) and always returns per-job host telemetry. Warm-state
-/// sharing follows `RFP_WARM_MODE` via a grid-local [`WarmPool`]; use
-/// [`run_grid_pooled`] to share the pool (and its snapshots) across
-/// several grids.
-///
-/// # Panics
-///
-/// Panics if a config is invalid or a worker thread panics.
-pub fn run_grid_full(
-    configs: &[CoreConfig],
-    len: u64,
-    threads: usize,
-    collect_obs: bool,
-) -> GridOutcome {
-    run_grid_pooled(&WarmPool::from_env(len), configs, threads, collect_obs)
-}
-
-/// [`run_grid_full`] against a caller-owned [`WarmPool`] (which fixes the
-/// measured length and the sharing mode). Jobs are claimed in
-/// *workload-major* order — all configs of workload 0, then workload 1 —
-/// so the jobs that share a snapshot run close together and the pool can
-/// evict each workload's band as soon as its last job retires. Reports
-/// still land in config-major grid positions, so output is byte-identical
-/// to the unpooled engine at every thread count.
-///
-/// # Panics
-///
-/// Panics if a config is invalid or a worker thread panics.
-pub fn run_grid_pooled(
+pub fn run_grid(
     pool: &WarmPool,
     configs: &[CoreConfig],
     threads: usize,
@@ -1557,8 +1417,8 @@ mod tests {
 
     #[test]
     fn empty_grid_returns_empty_per_config() {
-        let out = run_grid(&[], 1_000, 4);
-        assert!(out.is_empty());
+        let out = run_grid(&WarmPool::new(WarmMode::Exact, 1_000), &[], 4, false);
+        assert!(out.reports.is_empty() && out.telemetry.is_empty());
     }
 
     #[test]
@@ -1567,7 +1427,7 @@ mod tests {
             CoreConfig::tiger_lake(),
             CoreConfig::tiger_lake().with_rfp(),
         ];
-        let out = run_grid(&configs, 400, 3);
+        let out = run_grid(&WarmPool::new(WarmMode::Exact, 400), &configs, 3, false).reports;
         assert_eq!(out.len(), 2);
         let suite = rfp_trace::suite();
         for row in &out {
@@ -1589,7 +1449,7 @@ mod tests {
     #[test]
     fn full_grid_reports_one_telemetry_row_per_job() {
         let configs = [CoreConfig::tiger_lake()];
-        let out = run_grid_full(&configs, 300, 3, false);
+        let out = run_grid(&WarmPool::new(WarmMode::Exact, 300), &configs, 3, false);
         let n = rfp_trace::suite().len();
         assert_eq!(out.telemetry.len(), n);
         for (i, t) in out.telemetry.iter().enumerate() {
@@ -1605,8 +1465,9 @@ mod tests {
     #[test]
     fn obs_grid_attaches_metrics_without_changing_stats() {
         let configs = [CoreConfig::tiger_lake().with_rfp()];
-        let plain = run_grid(&configs, 400, 2);
-        let obs = run_grid_obs(&configs, 400, 2);
+        let pool = WarmPool::new(WarmMode::Exact, 400);
+        let plain = run_grid(&pool, &configs, 2, false).reports;
+        let obs = run_grid(&pool, &configs, 2, true).reports;
         for (p, o) in plain[0].iter().zip(&obs[0]) {
             assert_eq!(
                 p.stats, o.stats,
@@ -1705,8 +1566,8 @@ mod tests {
         let mut seeded = CoreConfig::tiger_lake().with_rfp();
         seeded.seed ^= 0x5eed;
         let configs = [CoreConfig::tiger_lake().with_rfp(), seeded];
-        let off = run_grid_pooled(&WarmPool::new(WarmMode::Off, 400), &configs, 2, false);
-        let exact = run_grid_pooled(&WarmPool::new(WarmMode::Exact, 400), &configs, 2, false);
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 400), &configs, 2, false);
+        let exact = run_grid(&WarmPool::new(WarmMode::Exact, 400), &configs, 2, false);
         for (o, e) in off
             .reports
             .iter()
@@ -1726,7 +1587,7 @@ mod tests {
             CoreConfig::tiger_lake(), // duplicate: shares every snapshot
         ];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        run_grid_pooled(&pool, &configs, 2, false);
+        run_grid(&pool, &configs, 2, false);
         let stats = pool.stats();
         let n = rfp_trace::suite().len();
         assert_eq!(stats.snapshot_misses, n as u64, "one build per workload");
@@ -1740,11 +1601,11 @@ mod tests {
         let cfg = CoreConfig::tiger_lake().with_rfp();
         let pool = WarmPool::new(WarmMode::Exact, 300);
         pool.pin_config(&cfg);
-        let plain = run_grid_pooled(&pool, std::slice::from_ref(&cfg), 2, false);
+        let plain = run_grid(&pool, std::slice::from_ref(&cfg), 2, false);
         let after_first = pool.stats();
         assert_eq!(after_first.live_snapshots, rfp_trace::suite().len());
         // The follow-up (obs) grid forks the pinned snapshots: all hits.
-        let obs = run_grid_pooled(&pool, &[cfg], 2, true);
+        let obs = run_grid(&pool, &[cfg], 2, true);
         let stats = pool.stats();
         assert_eq!(stats.snapshot_misses, after_first.snapshot_misses);
         assert!(stats.snapshot_hits >= rfp_trace::suite().len() as u64);
@@ -1755,47 +1616,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_mode_transplants_and_keeps_baseline_exact() {
-        let configs = [
-            CoreConfig::tiger_lake(),
-            CoreConfig::tiger_lake(), // shares the baseline snapshot exactly
-            CoreConfig::tiger_lake().with_rfp(),
-        ];
-        // 1500 uops: long enough for a cold prefetch table (the twin
-        // carries no PT) to train and inject during the measured window.
-        let pool = WarmPool::new(WarmMode::Checkpoint, 1_500);
-        let out = run_grid_pooled(&pool, &configs, 2, false);
-        let reference = run_grid_pooled(
-            &WarmPool::new(WarmMode::Off, 1_500),
-            &configs[..1],
-            2,
-            false,
-        );
-        // Baseline rows fork exactly — byte-identical.
-        for row in 0..2 {
-            for (o, r) in out.reports[row].iter().zip(&reference.reports[0]) {
-                assert_eq!(o.stats, r.stats, "{}: baseline must stay exact", o.workload);
-            }
-        }
-        // The RFP row transplanted: plausible, RFP actually ran.
-        assert!(out.reports[2].iter().any(|r| r.stats.rfp_injected > 0));
-        let n = rfp_trace::suite().len() as u64;
-        assert_eq!(pool.stats().transplants, n);
-        assert!(out
-            .telemetry
-            .iter()
-            .filter(|t| t.config == 2)
-            .all(|t| t.warm == "transplant"));
-    }
-
-    #[test]
     fn unshared_configs_run_straight_through() {
         let configs = [
             CoreConfig::tiger_lake(),
             CoreConfig::tiger_lake().with_rfp(),
         ];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        let out = run_grid_pooled(&pool, &configs, 2, false);
+        let out = run_grid(&pool, &configs, 2, false);
         assert!(out.telemetry.iter().all(|t| t.warm == "straight"));
         assert_eq!(pool.stats().snapshot_misses, 0);
     }
@@ -1806,6 +1633,18 @@ mod tests {
         assert_eq!("".parse::<SimMode>().unwrap(), SimMode::Full);
         assert_eq!("sample".parse::<SimMode>().unwrap(), SimMode::Sample);
         assert!("quick".parse::<SimMode>().is_err());
+    }
+
+    #[test]
+    fn warm_mode_parses_strictly_and_round_trips_its_label() {
+        for mode in [WarmMode::Off, WarmMode::Exact] {
+            assert_eq!(mode.label().parse::<WarmMode>(), Ok(mode));
+        }
+        assert_eq!("".parse::<WarmMode>(), Ok(WarmMode::Exact));
+        assert!("bogus".parse::<WarmMode>().is_err());
+        for mode in [SimMode::Full, SimMode::Sample] {
+            assert_eq!(mode.label().parse::<SimMode>(), Ok(mode));
+        }
     }
 
     #[test]
@@ -1849,7 +1688,7 @@ mod tests {
             CoreConfig::tiger_lake().with_rfp(),
         ];
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len);
-        let out = run_grid_pooled(&pool, &configs, 2, false);
+        let out = run_grid(&pool, &configs, 2, false);
         for t in &out.telemetry {
             let expect = if t.config == 0 {
                 "sample-fork" // the baseline is its own twin
@@ -1870,9 +1709,9 @@ mod tests {
         // Under two full intervals the sampler cannot skip anything and
         // must fall back to a bit-exact full run of the compiled arena.
         let configs = [CoreConfig::tiger_lake().with_rfp()];
-        let full = run_grid_pooled(&WarmPool::new(WarmMode::Off, 1_000), &configs, 2, false);
+        let full = run_grid(&WarmPool::new(WarmMode::Off, 1_000), &configs, 2, false);
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, 1_000);
-        let samp = run_grid_pooled(&pool, &configs, 2, false);
+        let samp = run_grid(&pool, &configs, 2, false);
         assert!(samp.telemetry.iter().all(|t| t.warm == "sample-full"));
         for (f, s) in full
             .reports
@@ -1889,8 +1728,8 @@ mod tests {
         let len = 3 * SAMPLE_INTERVAL_UOPS;
         let configs = [CoreConfig::tiger_lake().with_rfp()];
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len);
-        let plain = run_grid_pooled(&pool, &configs, 2, false);
-        let obs = run_grid_pooled(&pool, &configs, 2, true);
+        let plain = run_grid(&pool, &configs, 2, false);
+        let obs = run_grid(&pool, &configs, 2, true);
         for (p, o) in plain.reports[0].iter().zip(&obs.reports[0]) {
             assert_eq!(p.stats, o.stats, "{}: probing changed the run", p.workload);
             let m = o.obs.as_ref().expect("obs attached");

@@ -11,7 +11,6 @@
 //! worker count) are host-dependent and only appear in the Chrome
 //! export's timeline and `timing_*` entries.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use rfp_obs::EngineTracer;
@@ -19,31 +18,6 @@ use rfp_stats::{EngineMetrics, EngineTiming, ENGINE_STORE_TIER_LABELS};
 
 use crate::engine::{JobTelemetry, WarmPoolStats};
 use crate::store::StoreStats;
-
-/// Validated `RFP_ENGINE_TRACE` / `--engine-trace-out` value: a
-/// non-empty output path. Parsed through [`crate::env_parsed`] so an
-/// empty value exits with code 2 like every other malformed engine knob.
-#[derive(Debug, Clone)]
-pub struct EngineTracePath(pub PathBuf);
-
-impl std::str::FromStr for EngineTracePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.trim().is_empty() {
-            return Err("expected an output file path, got an empty string".into());
-        }
-        Ok(EngineTracePath(PathBuf::from(s.trim())))
-    }
-}
-
-/// The engine-trace output path configured by the `RFP_ENGINE_TRACE`
-/// environment variable, or `None` when unset. An empty value exits
-/// with code 2 ([`crate::env_parsed`] strictness).
-pub fn engine_trace_from_env() -> Option<PathBuf> {
-    let EngineTracePath(p) = crate::env_parsed::<EngineTracePath>("RFP_ENGINE_TRACE")?;
-    Some(p)
-}
 
 /// Maps a `store-get` / `store-put` span key to its tier index in
 /// [`ENGINE_STORE_TIER_LABELS`] order, from the `tier|...` key prefix
@@ -116,24 +90,26 @@ pub fn engine_trace_json(tracer: &EngineTracer, metrics: &EngineMetrics) -> Stri
 }
 
 /// One-call export for the bins: assemble metrics, render the trace
-/// document, and write it to `path`, exiting with code 2 on I/O failure
-/// (the path is configuration, not a bug worth a backtrace).
+/// document, and write it to `path`.
+///
+/// # Errors
+///
+/// A message naming `path` when the file cannot be written.
 pub fn write_engine_trace(
     path: &std::path::Path,
     tracer: &Arc<EngineTracer>,
     telemetry: &[JobTelemetry],
     pool_stats: &WarmPoolStats,
     store_stats: Option<&StoreStats>,
-) {
+) -> Result<(), String> {
     let metrics = engine_metrics(tracer, telemetry, pool_stats, store_stats);
     let doc = engine_trace_json(tracer, &metrics);
-    if let Err(e) = std::fs::write(path, &doc) {
-        eprintln!(
-            "error: cannot write engine trace to {:?}: {e}",
+    std::fs::write(path, &doc).map_err(|e| {
+        format!(
+            "cannot write engine trace to {:?}: {e}",
             path.display().to_string()
-        );
-        std::process::exit(2);
-    }
+        )
+    })
 }
 
 #[cfg(test)]
@@ -166,13 +142,6 @@ mod tests {
             live_snapshots: 0,
             live_snapshot_bytes: 0,
         }
-    }
-
-    #[test]
-    fn engine_trace_path_rejects_empty() {
-        assert!("  ".parse::<EngineTracePath>().is_err());
-        let EngineTracePath(p) = " trace.json ".parse::<EngineTracePath>().unwrap();
-        assert_eq!(p, PathBuf::from("trace.json"));
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! entry is *skipped and counted*, never a crash — the surviving history
 //! still renders and gates.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use rfp_stats::{detect_trend, Direction, TextTable, TrendParams, TrendVerdict};
@@ -44,39 +43,12 @@ use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rfp_types::json_escape;
 
 use crate::diff::{flatten, parse_json, Json};
-use crate::engine::env_parsed;
 use crate::store::{decode_entry_unkeyed, ExpStore, Tier};
 
 /// Ledger payload schema. Bump whenever [`RunRecord`]'s codec layout
 /// changes: old entries then read as skipped (counted) rather than
 /// misdecoded.
 pub const HISTORY_SCHEMA_VERSION: u32 = 1;
-
-/// Validated `RFP_HISTORY` value: a non-empty path string, mirroring
-/// [`StoreDir`](crate::StoreDir) strictness (empty → exit 2 through
-/// [`env_parsed`]).
-#[derive(Debug, Clone)]
-pub struct HistoryDir(pub PathBuf);
-
-impl std::str::FromStr for HistoryDir {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.trim().is_empty() {
-            return Err("expected a directory path, got an empty string".into());
-        }
-        Ok(HistoryDir(PathBuf::from(s.trim())))
-    }
-}
-
-/// The ledger root configured by `RFP_HISTORY`, or `None` when unset.
-/// An empty value or an unusable directory exits with code 2, exactly
-/// like `RFP_STORE` (the ledger shares the store's on-disk layout, so
-/// the root opens as a full [`ExpStore`]).
-pub fn history_store_from_env() -> Option<Arc<ExpStore>> {
-    let HistoryDir(root) = env_parsed::<HistoryDir>("RFP_HISTORY")?;
-    Some(ExpStore::open_or_die(&root, "RFP_HISTORY"))
-}
 
 /// One workload's deterministic results inside a [`RunRecord`].
 #[derive(Debug, Clone, PartialEq)]
@@ -858,13 +830,5 @@ mod tests {
         assert!(parse_trend_tolerances("{\"tolerances\":{\"x\":0.1}}")
             .is_ok_and(|t| t == vec![("x".to_string(), 0.1)]));
         assert!(parse_trend_tolerances("[1]").is_err());
-    }
-
-    #[test]
-    fn history_dir_rejects_empty_values() {
-        assert!("".parse::<HistoryDir>().is_err());
-        assert!("  ".parse::<HistoryDir>().is_err());
-        let HistoryDir(p) = " /tmp/h ".parse::<HistoryDir>().expect("path");
-        assert_eq!(p, PathBuf::from("/tmp/h"));
     }
 }

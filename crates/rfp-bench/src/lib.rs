@@ -24,6 +24,7 @@ mod engine_trace;
 mod history;
 mod inspect;
 mod report;
+mod run_env;
 mod store;
 
 use std::collections::{HashMap, HashSet};
@@ -42,25 +43,23 @@ pub use diff::{
     diff_metrics, diff_metrics_with, flatten, parse_json, DiffOutcome, Json, Violation,
 };
 pub use engine::{
-    build_sample_plan, config_key, default_threads, env_parsed, inspect_windows_from_env, run_grid,
-    run_grid_full, run_grid_obs, run_grid_pooled, telemetry_jsonl, trace_len_from_env,
-    update_bench_json, warm_key, warm_projection, warm_twin, GridOutcome, JobTelemetry,
-    SamplePhase, SamplePlan, SimMode, WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS,
-    SAMPLE_WARM_PREFIX, TELEMETRY_SCHEMA_VERSION,
+    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, update_bench_json,
+    warm_key, warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan,
+    SimMode, WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
+    TELEMETRY_SCHEMA_VERSION,
 };
-pub use engine_trace::{
-    engine_metrics, engine_trace_from_env, engine_trace_json, write_engine_trace, EngineTracePath,
-};
+pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
 pub use history::{
-    history_export_json, history_store_from_env, parse_trend_tolerances, render_history_list,
-    render_history_show, trend_rows, HistoryDir, HistoryLedger, LedgerView, RunRecord,
-    SamplingErrorSummary, WorkloadRow, HISTORY_SCHEMA_VERSION, TREND_METRICS,
+    history_export_json, parse_trend_tolerances, render_history_list, render_history_show,
+    trend_rows, HistoryLedger, LedgerView, RunRecord, SamplingErrorSummary, WorkloadRow,
+    HISTORY_SCHEMA_VERSION, TREND_METRICS,
 };
 pub use inspect::{inspect_workload, InspectOutcome, INSPECT_LEAD_UOPS};
-pub use report::{render_report, ReportInputs, ReportPath};
+pub use report::{render_report, ReportInputs};
+pub use run_env::{EnvError, EnvStores, Knob, NonEmptyPath, RunEnv, KNOBS};
 pub use store::{
-    render_store_stats, result_key, trace_key, warm_snapshot_key, ExpStore, StoreDir, StoreStats,
-    Tier, TierUsage, STORE_SCHEMA_VERSION,
+    render_store_stats, result_key, trace_key, warm_snapshot_key, ExpStore, StoreStats, Tier,
+    TierUsage, STORE_SCHEMA_VERSION,
 };
 
 /// Default measured trace length per workload (after an equal warmup).
@@ -77,15 +76,27 @@ pub fn run_suite(cfg: &CoreConfig, len: u64) -> Vec<SimReport> {
 }
 
 /// Runs the whole suite under `cfg` on exactly `threads` work-stealing
-/// workers. The result is byte-identical at every thread count.
+/// workers, with the default pool (exact warm sharing, full fidelity,
+/// no store). The result is byte-identical at every thread count.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` is invalid or a worker thread panics.
 pub fn run_suite_with_threads(cfg: &CoreConfig, len: u64, threads: usize) -> Vec<SimReport> {
-    run_grid(std::slice::from_ref(cfg), len, threads)
-        .pop()
-        .expect("one config in, one row out")
+    suite_row(&WarmPool::new(WarmMode::Exact, len), cfg, threads, false).0
+}
+
+/// [`run_grid`] over the one config `cfg`: its suite-ordered reports
+/// and the grid telemetry.
+fn suite_row(
+    pool: &WarmPool,
+    cfg: &CoreConfig,
+    threads: usize,
+    collect_obs: bool,
+) -> (Vec<SimReport>, Vec<JobTelemetry>) {
+    let mut out = run_grid(pool, std::slice::from_ref(cfg), threads, collect_obs);
+    let reports = out.reports.pop().expect("one config in, one row out");
+    (reports, out.telemetry)
 }
 
 /// The experiment harness: caches suite runs keyed by configuration
@@ -123,16 +134,16 @@ impl Harness {
         Self::with_threads(len, default_threads())
     }
 
-    /// Creates a harness with an explicit worker-thread count. The
-    /// warm-state sharing mode comes from `RFP_WARM_MODE` (default
-    /// `exact`, which is byte-identical to no sharing).
+    /// Creates a harness with an explicit worker-thread count and the
+    /// default pool: exact warm sharing (byte-identical to no sharing),
+    /// full fidelity, no store.
     pub fn with_threads(len: u64, threads: usize) -> Self {
-        Self::with_pool(len, threads, WarmPool::from_env(len))
+        Self::with_pool(len, threads, WarmPool::new(WarmMode::Exact, len))
     }
 
     /// Creates a harness around an explicit [`WarmPool`] (whose measured
-    /// length must equal `len`) — lets tests pick a [`WarmMode`] without
-    /// touching the process environment.
+    /// length must equal `len`), which picks the warm and sim modes, the
+    /// store and the tracer.
     pub fn with_pool(len: u64, threads: usize, pool: WarmPool) -> Self {
         assert_eq!(pool.measured_len(), len, "pool sized for a different len");
         Harness {
@@ -229,7 +240,7 @@ impl Harness {
         if pending.is_empty() {
             return;
         }
-        let outcome = run_grid_pooled(&self.pool, &pending, self.threads, false);
+        let outcome = run_grid(&self.pool, &pending, self.threads, false);
         self.telemetry.extend(outcome.telemetry);
         for (cfg, reports) in pending.iter().zip(outcome.reports) {
             self.cache.insert(config_key(cfg), reports);
@@ -352,29 +363,28 @@ impl Harness {
     /// configuration content, so two experiments asking for the same
     /// config under different labels share one run.
     fn suite_for(&mut self, _label: &str, cfg: &CoreConfig) -> &[SimReport] {
-        let key = config_key(cfg);
-        if !self.cache.contains_key(&key) {
-            let mut outcome =
-                run_grid_pooled(&self.pool, std::slice::from_ref(cfg), self.threads, false);
-            self.telemetry.extend(outcome.telemetry);
-            let reports = outcome.reports.pop().expect("one config in, one row out");
-            self.cache.insert(key, reports);
-        }
-        &self.cache[&key]
+        self.cached_row(cfg, false)
     }
 
     /// Like [`Self::suite_for`] but with a `MetricsSink` attached to every
     /// simulation, cached separately (see the `obs_cache` field note).
     fn obs_suite_for(&mut self, _label: &str, cfg: &CoreConfig) -> &[SimReport] {
-        let key = config_key(cfg);
-        if !self.obs_cache.contains_key(&key) {
-            let mut outcome =
-                run_grid_pooled(&self.pool, std::slice::from_ref(cfg), self.threads, true);
-            self.telemetry.extend(outcome.telemetry);
-            let reports = outcome.reports.pop().expect("one config in, one row out");
-            self.obs_cache.insert(key, reports);
-        }
-        &self.obs_cache[&key]
+        self.cached_row(cfg, true)
+    }
+
+    /// `cfg`'s row from the plain or the obs cache, simulated through the
+    /// pool on a miss.
+    fn cached_row(&mut self, cfg: &CoreConfig, collect_obs: bool) -> &[SimReport] {
+        let cache = if collect_obs {
+            &mut self.obs_cache
+        } else {
+            &mut self.cache
+        };
+        cache.entry(config_key(cfg)).or_insert_with(|| {
+            let (reports, telemetry) = suite_row(&self.pool, cfg, self.threads, collect_obs);
+            self.telemetry.extend(telemetry);
+            reports
+        })
     }
 
     /// The `--metrics-out` payload for `cfg`, produced through the
@@ -391,7 +401,7 @@ impl Harness {
     /// [`sampling_report_json`]), produced through the obs cache — the
     /// metrics it summarizes come from whatever [`SimMode`] the harness's
     /// pool runs at, so the same call emits the full-fidelity reference
-    /// or the sampled candidate depending on `RFP_SIM_MODE`.
+    /// or the sampled candidate.
     pub fn sampling_json(&mut self, cfg: &CoreConfig) -> String {
         let len = self.len;
         let reports = self.obs_suite_for("sampling", cfg).to_vec();
@@ -1625,7 +1635,7 @@ pub fn trace_workload_json(cfg: &CoreConfig, workload: &rfp_trace::Workload, len
 }
 
 /// Renders the per-workload latency histograms of obs-instrumented
-/// `reports` (one suite row, as produced by [`run_grid_obs`]) as a JSON
+/// `reports` (one suite row of an obs-instrumented [`run_grid`]) as a JSON
 /// document, plus their order-independent aggregate.
 ///
 /// # Panics
@@ -1659,7 +1669,7 @@ pub fn metrics_reports_json(cfg: &CoreConfig, len: u64, reports: &[SimReport]) -
 }
 
 /// Renders the merged per-site profile of obs-instrumented `reports`
-/// (one suite row, as produced by [`run_grid_obs`]) as one JSON document
+/// (one suite row of an obs-instrumented [`run_grid`]) as one JSON document
 /// — the `--profile-out` payload — after reconciling the per-site sums
 /// against the aggregate counters ([`Harness::reconcile_profile`]).
 ///
@@ -1676,13 +1686,11 @@ pub fn profile_reports_json(cfg: &CoreConfig, len: u64, reports: &[SimReport]) -
     )
 }
 
-/// Runs the whole suite under `cfg` with metrics sinks attached and
-/// returns the [`metrics_reports_json`] document (the `--metrics-out`
-/// payload).
+/// Runs the whole suite under `cfg` with metrics sinks attached (default
+/// pool) and returns the [`metrics_reports_json`] document (the
+/// `--metrics-out` payload).
 pub fn metrics_suite_json(cfg: &CoreConfig, len: u64, threads: usize) -> String {
-    let reports = run_grid_obs(std::slice::from_ref(cfg), len, threads)
-        .pop()
-        .expect("one config in, one row out");
+    let (reports, _) = suite_row(&WarmPool::new(WarmMode::Exact, len), cfg, threads, true);
     metrics_reports_json(cfg, len, &reports)
 }
 

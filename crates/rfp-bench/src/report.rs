@@ -9,28 +9,10 @@
 //! can diff two renders of the same sweep and the determinism tests can
 //! compare bytes across runs.
 
-use std::path::PathBuf;
-
 use rfp_stats::{detect_trend, TrendParams};
 
 use crate::diff::{parse_json, Json};
 use crate::history::TREND_METRICS;
-
-/// Validated `--report-out` value: a non-empty output path (missing or
-/// empty is a usage error — exit 2 — like every other engine knob).
-#[derive(Debug, Clone)]
-pub struct ReportPath(pub PathBuf);
-
-impl std::str::FromStr for ReportPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.trim().is_empty() {
-            return Err("expected an output file path, got an empty string".into());
-        }
-        Ok(ReportPath(PathBuf::from(s.trim())))
-    }
-}
 
 /// Raw input documents for the dashboard, each optional: a section
 /// whose document is absent renders a placeholder instead of data, so
@@ -913,12 +895,6 @@ mod tests {
         };
         let err = render_report(&inputs).unwrap_err();
         assert!(err.starts_with("metrics:"), "{err}");
-    }
-
-    #[test]
-    fn report_path_rejects_empty() {
-        assert!(" ".parse::<ReportPath>().is_err());
-        assert!("report.html".parse::<ReportPath>().is_ok());
     }
 
     #[test]

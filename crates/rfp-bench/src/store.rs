@@ -44,7 +44,7 @@ use std::time::SystemTime;
 use rfp_types::codec::{ByteReader, ByteWriter, Codec};
 use rfp_types::{fnv1a_64, Fnv1a};
 
-use crate::engine::{env_parsed, SimMode, WarmMode};
+use crate::engine::{SimMode, WarmMode};
 
 /// Magic prefix of every store entry.
 const MAGIC: &[u8; 8] = b"RFPSTORE";
@@ -161,23 +161,6 @@ impl std::fmt::Debug for ExpStore {
     }
 }
 
-/// Validated `RFP_STORE` value: a non-empty path string. Parsed through
-/// [`env_parsed`] so an empty value fails the pipeline at its first
-/// command like every other malformed engine knob.
-#[derive(Debug, Clone)]
-pub struct StoreDir(pub PathBuf);
-
-impl std::str::FromStr for StoreDir {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.trim().is_empty() {
-            return Err("expected a directory path, got an empty string".into());
-        }
-        Ok(StoreDir(PathBuf::from(s.trim())))
-    }
-}
-
 impl ExpStore {
     /// Opens (creating if needed) a store rooted at `root`, probing that
     /// the directory is actually writable so a misconfigured path fails
@@ -205,29 +188,20 @@ impl ExpStore {
         })
     }
 
-    /// [`ExpStore::open`] that exits the process with code 2 and a
-    /// contextual message on failure — the store path is configuration,
-    /// and a bad value is a usage error, not a bug worth a backtrace.
-    /// `origin` names where the path came from (`RFP_STORE`, `--store`).
-    pub fn open_or_die(root: &Path, origin: &str) -> Arc<ExpStore> {
-        match ExpStore::open(root) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!(
-                    "error: {origin}={:?} is not a usable store directory: {e}",
-                    root.display().to_string()
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The store configured by the `RFP_STORE` environment variable, or
-    /// `None` when unset. An empty value or an unusable directory exits
-    /// with code 2 ([`env_parsed`] strictness / [`ExpStore::open_or_die`]).
-    pub fn from_env() -> Option<Arc<ExpStore>> {
-        let StoreDir(root) = env_parsed::<StoreDir>("RFP_STORE")?;
-        Some(Self::open_or_die(&root, "RFP_STORE"))
+    /// [`ExpStore::open`] behind an `Arc`, with the error naming where
+    /// the path came from (`origin`: `RFP_STORE`, `--store`, ...) — the
+    /// message a bin prints before exiting 2.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExpStore::open`], rendered with `origin` and the path.
+    pub fn open_named(root: &Path, origin: &str) -> Result<Arc<ExpStore>, String> {
+        ExpStore::open(root).map(Arc::new).map_err(|e| {
+            format!(
+                "{origin}={:?} is not a usable store directory: {e}",
+                root.display().to_string()
+            )
+        })
     }
 
     /// The store's root directory.
@@ -559,19 +533,12 @@ pub fn result_key(
     workload: &str,
     cfg: &rfp_core::CoreConfig,
 ) -> String {
-    let sim = match sim {
-        SimMode::Full => "full",
-        SimMode::Sample => "sample",
-    };
-    let warm = match warm {
-        WarmMode::Off => "off",
-        WarmMode::Exact => "exact",
-        WarmMode::Checkpoint => "checkpoint",
-    };
     format!(
         "result|schema={STORE_SCHEMA_VERSION}|measured={measured}|warmup={warmup}\
-         |interval={}|sim={sim}|warm={warm}|obs={}|workload={workload}|cfg={cfg:?}",
+         |interval={}|sim={}|warm={}|obs={}|workload={workload}|cfg={cfg:?}",
         crate::engine::SAMPLE_INTERVAL_UOPS,
+        sim.label(),
+        warm.label(),
         u8::from(collect_obs),
     )
 }
@@ -865,11 +832,20 @@ mod tests {
     }
 
     #[test]
-    fn store_dir_rejects_empty_values() {
-        assert!("".parse::<StoreDir>().is_err());
-        assert!("   ".parse::<StoreDir>().is_err());
-        let StoreDir(p) = " /tmp/x ".parse::<StoreDir>().expect("path");
-        assert_eq!(p, PathBuf::from("/tmp/x"));
+    fn result_keys_of_existing_modes_are_unchanged() {
+        // Entries already on disk must keep hitting: the key spells each
+        // mode exactly as those entries were keyed.
+        let cfg = rfp_core::CoreConfig::tiger_lake();
+        let key = |sim, warm| result_key(2000, 1000, sim, warm, false, "w", &cfg);
+        let prefix = "result|schema=1|measured=2000|warmup=1000|interval=8192";
+        assert_eq!(
+            key(SimMode::Full, WarmMode::Exact),
+            format!("{prefix}|sim=full|warm=exact|obs=0|workload=w|cfg={cfg:?}")
+        );
+        assert_eq!(
+            key(SimMode::Sample, WarmMode::Off),
+            format!("{prefix}|sim=sample|warm=off|obs=0|workload=w|cfg={cfg:?}")
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! in the same order, as a plain serial loop over the suite.
 
 use rfp_bench::{
-    run_grid, run_grid_obs, run_grid_pooled, run_suite_with_threads, warm_key, warm_projection,
-    SimMode, WarmMode, WarmPool, SAMPLE_INTERVAL_UOPS,
+    run_grid, run_suite_with_threads, warm_key, warm_projection, SimMode, WarmMode, WarmPool,
+    SAMPLE_INTERVAL_UOPS,
 };
 use rfp_core::{simulate_workload, CoreConfig};
 use rfp_stats::{CpiBucket, CpiReport, ObsMetrics, ProfileReport, SimReport};
@@ -16,6 +16,12 @@ fn serial_reference(cfg: &CoreConfig) -> Vec<SimReport> {
         .iter()
         .map(|w| simulate_workload(cfg, w, LEN).expect("valid config"))
         .collect()
+}
+
+/// `configs`' suite rows through a fresh default pool (exact warm
+/// sharing, full fidelity, no store), probed when `obs`.
+fn grid(configs: &[CoreConfig], len: u64, threads: usize, obs: bool) -> Vec<Vec<SimReport>> {
+    run_grid(&WarmPool::new(WarmMode::Exact, len), configs, threads, obs).reports
 }
 
 fn canonical_bytes(reports: &[SimReport]) -> Vec<u8> {
@@ -53,7 +59,7 @@ fn obs_runs_are_byte_identical_at_any_thread_count() {
     // so canonical bytes (which include the obs JSON) cannot depend on
     // the thread count or on which worker ran which job.
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let reference = run_grid_obs(std::slice::from_ref(&cfg), LEN, 1)
+    let reference = grid(std::slice::from_ref(&cfg), LEN, 1, true)
         .pop()
         .expect("one row");
     assert!(reference.iter().all(|r| r.obs.is_some()));
@@ -69,7 +75,7 @@ fn obs_runs_are_byte_identical_at_any_thread_count() {
     );
     let reference_bytes = canonical_bytes(&reference);
     for threads in [2, 5, 8] {
-        let got = run_grid_obs(std::slice::from_ref(&cfg), LEN, threads)
+        let got = grid(std::slice::from_ref(&cfg), LEN, threads, true)
             .pop()
             .expect("one row");
         assert_eq!(
@@ -86,7 +92,7 @@ fn merged_histograms_are_order_independent() {
     // matter the merge order — the property the work-stealing engine
     // relies on when per-thread results interleave arbitrarily.
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let reports = run_grid_obs(std::slice::from_ref(&cfg), LEN, 4)
+    let reports = grid(std::slice::from_ref(&cfg), LEN, 4, true)
         .pop()
         .expect("one row");
     let mut forward = ObsMetrics::default();
@@ -112,7 +118,7 @@ fn cpi_stacks_conserve_and_merge_order_independently() {
         CoreConfig::tiger_lake(),
         CoreConfig::tiger_lake().with_rfp(),
     ];
-    let rows = run_grid_obs(&configs, LEN, 4);
+    let rows = grid(&configs, LEN, 4, true);
     for (cfg, reports) in configs.iter().zip(&rows) {
         let width = cfg.retire_width as u64;
         for r in reports {
@@ -160,7 +166,7 @@ fn profiles_merge_order_independently_and_reconcile() {
     // sums reconcile exactly with the aggregate counters (the tentpole
     // cross-check, here exercised over the real grid).
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let reports = run_grid_obs(std::slice::from_ref(&cfg), LEN, 4)
+    let reports = grid(std::slice::from_ref(&cfg), LEN, 4, true)
         .pop()
         .expect("one row");
     assert!(reports.iter().all(|r| r.profile.is_some()));
@@ -186,11 +192,11 @@ fn profiles_are_identical_at_any_thread_count() {
     // Structural thread invariance of the profiler, at the counts the CI
     // matrix uses.
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let reference = run_grid_obs(std::slice::from_ref(&cfg), LEN, 1)
+    let reference = grid(std::slice::from_ref(&cfg), LEN, 1, true)
         .pop()
         .expect("one row");
     for threads in [2, 8] {
-        let got = run_grid_obs(std::slice::from_ref(&cfg), LEN, threads)
+        let got = grid(std::slice::from_ref(&cfg), LEN, threads, true)
             .pop()
             .expect("one row");
         for (a, b) in reference.iter().zip(&got) {
@@ -208,11 +214,11 @@ fn cpi_reports_are_identical_at_any_thread_count() {
     // Structural (not just textual) thread invariance of the CPI layer,
     // at the counts the CI matrix uses.
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let reference = run_grid_obs(std::slice::from_ref(&cfg), LEN, 1)
+    let reference = grid(std::slice::from_ref(&cfg), LEN, 1, true)
         .pop()
         .expect("one row");
     for threads in [2, 8] {
-        let got = run_grid_obs(std::slice::from_ref(&cfg), LEN, threads)
+        let got = grid(std::slice::from_ref(&cfg), LEN, threads, true)
             .pop()
             .expect("one row");
         for (a, b) in reference.iter().zip(&got) {
@@ -230,10 +236,10 @@ fn obs_instrumentation_does_not_perturb_the_simulation() {
     // Same grid with and without sinks: every deterministic counter must
     // match exactly (the probe is observation, never back-pressure).
     let cfg = CoreConfig::tiger_lake().with_rfp();
-    let plain = run_grid(std::slice::from_ref(&cfg), LEN, 4)
+    let plain = grid(std::slice::from_ref(&cfg), LEN, 4, false)
         .pop()
         .expect("one row");
-    let probed = run_grid_obs(std::slice::from_ref(&cfg), LEN, 4)
+    let probed = grid(std::slice::from_ref(&cfg), LEN, 4, true)
         .pop()
         .expect("one row");
     for (p, o) in plain.iter().zip(&probed) {
@@ -251,10 +257,10 @@ fn grid_rows_are_independent_of_sibling_configs() {
     // configs (no cross-job state leaks through the engine).
     let base = CoreConfig::tiger_lake();
     let rfp = CoreConfig::tiger_lake().with_rfp();
-    let alone = run_grid(std::slice::from_ref(&base), LEN, 4)
+    let alone = grid(std::slice::from_ref(&base), LEN, 4, false)
         .pop()
         .expect("one row");
-    let paired = run_grid(&[rfp, base.clone()], LEN, 3);
+    let paired = grid(&[rfp, base.clone()], LEN, 3, false);
     assert_eq!(paired[1], alone);
 }
 
@@ -273,8 +279,7 @@ fn warm_forks_are_byte_identical_to_straight_through() {
     let configs = [a, b];
     let len = 1_500;
     for collect_obs in [false, true] {
-        let reference =
-            run_grid_pooled(&WarmPool::new(WarmMode::Off, len), &configs, 1, collect_obs);
+        let reference = run_grid(&WarmPool::new(WarmMode::Off, len), &configs, 1, collect_obs);
         let reference_bytes: Vec<Vec<u8>> = reference
             .reports
             .iter()
@@ -282,7 +287,7 @@ fn warm_forks_are_byte_identical_to_straight_through() {
             .collect();
         for threads in [1, 2, 8] {
             let pool = WarmPool::new(WarmMode::Exact, len);
-            let got = run_grid_pooled(&pool, &configs, threads, collect_obs);
+            let got = run_grid(&pool, &configs, threads, collect_obs);
             assert!(
                 got.telemetry.iter().all(|t| t.warm == "fork"),
                 "threads={threads} obs={collect_obs}: every job must fork"
@@ -316,7 +321,7 @@ fn sampled_runs_are_byte_identical_at_any_thread_count_and_probe_setting() {
         CoreConfig::tiger_lake().with_rfp(),
     ];
     let len = 2 * SAMPLE_INTERVAL_UOPS + 1024;
-    let reference = run_grid_pooled(
+    let reference = run_grid(
         &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
         &configs,
         1,
@@ -344,7 +349,7 @@ fn sampled_runs_are_byte_identical_at_any_thread_count_and_probe_setting() {
         .collect();
     for threads in [2, 8] {
         for collect_obs in [false, true] {
-            let got = run_grid_pooled(
+            let got = run_grid(
                 &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
                 &configs,
                 threads,
@@ -379,7 +384,7 @@ fn sampled_single_config_grid_forks_its_own_twin() {
     // be just as thread-invariant as the transplant path.
     let cfg = CoreConfig::tiger_lake();
     let len = 3 * SAMPLE_INTERVAL_UOPS;
-    let reference = run_grid_pooled(
+    let reference = run_grid(
         &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
         std::slice::from_ref(&cfg),
         1,
@@ -391,7 +396,7 @@ fn sampled_single_config_grid_forks_its_own_twin() {
     );
     let reference_bytes = canonical_bytes(&reference.reports[0]);
     for threads in [2, 8] {
-        let got = run_grid_pooled(
+        let got = run_grid(
             &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
             std::slice::from_ref(&cfg),
             threads,
@@ -419,12 +424,12 @@ fn engine_spans_are_deterministic_across_threads_and_warm_modes() {
     b.seed ^= 0x5eed;
     let configs = [a, b];
     let len = 1_500;
-    for mode in [WarmMode::Off, WarmMode::Exact, WarmMode::Checkpoint] {
+    for mode in [WarmMode::Off, WarmMode::Exact] {
         let mut reference: Option<String> = None;
         for threads in [1, 2, 8] {
             let tracer = Arc::new(EngineTracer::new());
             let pool = WarmPool::new(mode, len).with_tracer(Some(tracer.clone()));
-            let _ = run_grid_pooled(&pool, &configs, threads, false);
+            let _ = run_grid(&pool, &configs, threads, false);
             assert_eq!(tracer.dropped(), 0);
             let text = tracer.deterministic_text();
             assert!(text.contains("claim "), "{mode:?}: no claim spans");
@@ -462,7 +467,7 @@ fn engine_trace_json_parses_and_report_renders_deterministically() {
     let configs = [a, b];
     let tracer = Arc::new(EngineTracer::new());
     let pool = WarmPool::new(WarmMode::Exact, LEN).with_tracer(Some(tracer.clone()));
-    let outcome = run_grid_pooled(&pool, &configs, 4, false);
+    let outcome = run_grid(&pool, &configs, 4, false);
     let metrics = engine_metrics(&tracer, &outcome.telemetry, &pool.stats(), None);
     assert_eq!(metrics.jobs, outcome.telemetry.len() as u64);
     assert!(metrics.snapshot_misses > 0);
@@ -535,7 +540,7 @@ mod persistent_store {
         ];
         let len = 1_500;
         for collect_obs in [false, true] {
-            let reference = run_grid_pooled(
+            let reference = run_grid(
                 &WarmPool::new(WarmMode::Exact, len),
                 &configs,
                 1,
@@ -561,7 +566,7 @@ mod persistent_store {
             };
             // Cold: every result is a miss, simulated and published.
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-            let cold = run_grid_pooled(&pool, &configs, 2, collect_obs);
+            let cold = run_grid(&pool, &configs, 2, collect_obs);
             assert!(
                 cold.telemetry
                     .iter()
@@ -573,7 +578,7 @@ mod persistent_store {
             // arena recompiles — at every thread count the CI matrix uses.
             for threads in [1, 2, 8] {
                 let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-                let warm = run_grid_pooled(&pool, &configs, threads, collect_obs);
+                let warm = run_grid(&pool, &configs, threads, collect_obs);
                 assert!(
                     warm.telemetry
                         .iter()
@@ -590,7 +595,7 @@ mod persistent_store {
             let store = scratch.open();
             assert!(store.clear_tier(Tier::Result) > 0);
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(store.clone()));
-            let resnap = run_grid_pooled(&pool, &configs, 2, collect_obs);
+            let resnap = run_grid(&pool, &configs, 2, collect_obs);
             assert!(
                 resnap
                     .telemetry
@@ -628,18 +633,17 @@ mod persistent_store {
                 2 * SAMPLE_INTERVAL_UOPS + 1024,
             ),
         ] {
-            let reference =
-                run_grid_pooled(&WarmPool::with_sim(mode, sim, len), &configs, 1, false);
+            let reference = run_grid(&WarmPool::with_sim(mode, sim, len), &configs, 1, false);
             let reference_bytes: Vec<Vec<u8>> = reference
                 .reports
                 .iter()
                 .map(|r| canonical_bytes(r))
                 .collect();
             let cold_pool = WarmPool::with_sim(mode, sim, len).with_store(Some(scratch.open()));
-            let cold = run_grid_pooled(&cold_pool, &configs, 2, false);
+            let cold = run_grid(&cold_pool, &configs, 2, false);
             assert!(cold.telemetry.iter().all(|t| t.store == "miss"));
             let warm_pool = WarmPool::with_sim(mode, sim, len).with_store(Some(scratch.open()));
-            let warm = run_grid_pooled(&warm_pool, &configs, 8, false);
+            let warm = run_grid(&warm_pool, &configs, 8, false);
             assert!(
                 warm.telemetry
                     .iter()
@@ -663,14 +667,14 @@ mod persistent_store {
         let scratch = Scratch::new("corrupt");
         let configs = [CoreConfig::tiger_lake().with_rfp()];
         let len = 1_500;
-        let reference = run_grid_pooled(&WarmPool::new(WarmMode::Exact, len), &configs, 1, false);
+        let reference = run_grid(&WarmPool::new(WarmMode::Exact, len), &configs, 1, false);
         let reference_bytes: Vec<Vec<u8>> = reference
             .reports
             .iter()
             .map(|r| canonical_bytes(r))
             .collect();
         let fill = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-        let _ = run_grid_pooled(&fill, &configs, 2, false);
+        let _ = run_grid(&fill, &configs, 2, false);
         // Vandalise three quarters of every tier — truncation, a body
         // bit-flip, and a version-byte flip — leaving every fourth entry
         // intact so hits and misses coexist in one run.
@@ -699,7 +703,7 @@ mod persistent_store {
         assert!(damaged > 0, "the fill run must have populated the store");
         let store = scratch.open();
         let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(store.clone()));
-        let got = run_grid_pooled(&pool, &configs, 8, false);
+        let got = run_grid(&pool, &configs, 8, false);
         for (row, (g, r)) in got.reports.iter().zip(&reference_bytes).enumerate() {
             assert_eq!(
                 &canonical_bytes(g),
@@ -717,7 +721,7 @@ mod persistent_store {
         let healed_store = scratch.open();
         let healed_pool =
             WarmPool::new(WarmMode::Exact, len).with_store(Some(healed_store.clone()));
-        let healed = run_grid_pooled(&healed_pool, &configs, 2, false);
+        let healed = run_grid(&healed_pool, &configs, 2, false);
         assert!(healed.telemetry.iter().all(|t| t.store == "hit"));
         assert_eq!(healed_store.stats().corrupt, 0);
         for (row, (g, r)) in healed.reports.iter().zip(&reference_bytes).enumerate() {
@@ -812,7 +816,7 @@ mod persistent_store {
             let pool = WarmPool::new(WarmMode::Exact, len)
                 .with_store(Some(store))
                 .with_tracer(Some(tracer.clone()));
-            let _ = run_grid_pooled(&pool, &configs, threads, false);
+            let _ = run_grid(&pool, &configs, threads, false);
             tracer.deterministic_text()
         };
         let mut cold_ref: Option<String> = None;
@@ -831,7 +835,7 @@ mod persistent_store {
         let scratch = Scratch::new("span-warm");
         {
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-            let _ = run_grid_pooled(&pool, &configs, 2, false);
+            let _ = run_grid(&pool, &configs, 2, false);
         }
         let mut warm_ref: Option<String> = None;
         for threads in [1, 2, 8] {
@@ -1000,7 +1004,7 @@ fn anomaly_window_selection_is_identical_across_threads_and_probes() {
             .collect()
     };
     let reference = select(
-        &run_grid_obs(std::slice::from_ref(&cfg), INSPECT_LEN, 1)
+        &grid(std::slice::from_ref(&cfg), INSPECT_LEN, 1, true)
             .pop()
             .expect("one row"),
     );
@@ -1010,7 +1014,7 @@ fn anomaly_window_selection_is_identical_across_threads_and_probes() {
     );
     for threads in [2, 8] {
         let got = select(
-            &run_grid_obs(std::slice::from_ref(&cfg), INSPECT_LEN, threads)
+            &grid(std::slice::from_ref(&cfg), INSPECT_LEN, threads, true)
                 .pop()
                 .expect("one row"),
         );

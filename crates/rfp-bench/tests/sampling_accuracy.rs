@@ -6,7 +6,7 @@
 //! `experiments diff`, so this test and the gate cannot drift apart.
 
 use rfp_bench::{
-    diff_metrics_with, run_grid_pooled, sampling_error_report_json, sampling_report_json, SimMode,
+    diff_metrics_with, run_grid, sampling_error_report_json, sampling_report_json, SimMode,
     WarmMode, WarmPool, SAMPLE_INTERVAL_UOPS,
 };
 use rfp_core::CoreConfig;
@@ -25,7 +25,7 @@ const TOLERANCES_PATH: &str = concat!(
 fn rfp_row(sim: SimMode) -> Vec<SimReport> {
     let cfg = CoreConfig::tiger_lake().with_rfp();
     let pool = WarmPool::with_sim(WarmMode::Exact, sim, LEN);
-    run_grid_pooled(&pool, std::slice::from_ref(&cfg), 4, true)
+    run_grid(&pool, std::slice::from_ref(&cfg), 4, true)
         .reports
         .pop()
         .expect("one config in, one row out")

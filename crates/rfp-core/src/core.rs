@@ -2247,8 +2247,8 @@ impl<P: Probe> Core<P> {
 ///
 /// Produced by [`Core::warm_up`]; consumed (any number of times, from any
 /// thread via `Arc`) by [`WarmState::resume`] for exact byte-identical
-/// forks, or [`WarmState::transplant`] for approximate cross-config
-/// functional warmup.
+/// forks, or by [`WarmState::transplant_window`] for the phase sampler's
+/// approximate cross-config windows.
 #[derive(Clone)]
 pub struct WarmState {
     core: Core<NoopProbe>,
@@ -2315,43 +2315,6 @@ impl WarmState {
         core.finalize(wall_start)
     }
 
-    /// Checkpoint-style functional warmup across configs: builds a fresh
-    /// core for `cfg` (which must share the donor's memory-hierarchy
-    /// configuration), adopts the donor's position-independent warm
-    /// structures (see `Core::adopt_warm_structures`), and runs `measured`
-    /// — the post-warmup segment of the trace — with no further warmup.
-    /// Approximate by design: config-specific predictor tables start cold
-    /// and in-flight donor state is dropped, the standard trade-off of
-    /// checkpointed functional warmup.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when `cfg` is invalid.
-    pub fn transplant(
-        &self,
-        cfg: &CoreConfig,
-        measured: impl IntoIterator<Item = MicroOp>,
-    ) -> Result<CoreStats, ConfigError> {
-        self.transplant_probed(cfg, measured, NoopProbe)
-            .map(|(stats, _)| stats)
-    }
-
-    /// [`WarmState::transplant`] with a probe attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when `cfg` is invalid.
-    pub fn transplant_probed<Q: Probe>(
-        &self,
-        cfg: &CoreConfig,
-        measured: impl IntoIterator<Item = MicroOp>,
-        probe: Q,
-    ) -> Result<(CoreStats, Q), ConfigError> {
-        let mut core = Core::with_probe(cfg.clone(), probe)?;
-        core.adopt_warm_structures(&self.core);
-        Ok(core.run_with_warmup_probed(measured, 0))
-    }
-
     /// Forks the snapshot to measure one trace *window*: runs `rest` (a
     /// slice of the original trace starting anywhere at or after the
     /// snapshot's cursor position is resolvable) and discards statistics
@@ -2393,11 +2356,16 @@ impl WarmState {
         core.finalize(wall_start)
     }
 
-    /// [`WarmState::transplant`] generalized to a window: the fresh core
-    /// adopts the donor's warm structures, then treats the first
-    /// `warm_uops` of `measured` as detailed warmup (re-filling the
-    /// config-specific structures a transplant leaves cold) before the
-    /// stats reset. `transplant(cfg, t)` ≡ `transplant_window(cfg, t, 0)`.
+    /// Functional warmup across configs, for one sampled window: builds
+    /// a fresh core for `cfg` (which must share the donor's
+    /// memory-hierarchy configuration), adopts the donor's
+    /// position-independent warm structures (see
+    /// `Core::adopt_warm_structures`), then treats the first `warm_uops`
+    /// of `measured` as detailed warmup (re-filling the config-specific
+    /// structures the donor leaves cold) before the stats reset. With
+    /// `warm_uops == 0` every op of `measured` is measured. Approximate by
+    /// design: config-specific predictor tables start cold and in-flight
+    /// donor state is dropped.
     ///
     /// # Errors
     ///
@@ -2910,12 +2878,11 @@ mod tests {
             .unwrap()
             .warm_up(trace.clone(), warmup as u64);
         let rfp = CoreConfig::tiger_lake().with_rfp();
-        // warm_uops = 0 is exactly `transplant`.
+        // With no prefix every fed op is measured.
         let zero = warm
             .transplant_window(&rfp, trace[warmup..].to_vec(), 0)
             .unwrap();
-        let plain = warm.transplant(&rfp, trace[warmup..].to_vec()).unwrap();
-        assert_eq!(zero, plain);
+        assert_eq!(zero.retired_uops, (trace.len() - warmup) as u64);
         // A nonzero prefix is excluded from the measured counters.
         let prefix = 512u64;
         let stats = warm
@@ -2983,7 +2950,9 @@ mod tests {
             .unwrap()
             .warm_up(trace.clone(), warmup as u64);
         let rfp = CoreConfig::tiger_lake().with_rfp();
-        let stats = warm.transplant(&rfp, trace[warmup..].to_vec()).unwrap();
+        let stats = warm
+            .transplant_window(&rfp, trace[warmup..].to_vec(), 0)
+            .unwrap();
         assert_eq!(stats.retired_uops, (trace.len() - warmup) as u64);
         assert!(stats.rfp_injected > 0, "RFP engine ran on the transplant");
         // Adopted caches mean the measured segment starts warm: it runs in

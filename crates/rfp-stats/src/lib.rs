@@ -1011,14 +1011,14 @@ impl EngineTiming {
 pub struct EngineMetrics {
     /// Total grid jobs (one `(config, workload)` cell each).
     pub jobs: u64,
-    /// Jobs per warm-path arm (`off`, `straight`, `fork`, `transplant`,
-    /// `sample-*`, `store`), in deterministic key order.
+    /// Jobs per warm-path arm (`off`, `straight`, `fork`, `sample-*`,
+    /// `store`), in deterministic key order.
     pub jobs_by_warm: std::collections::BTreeMap<String, u64>,
     /// Warm-pool snapshot forks served from an already-built snapshot.
     pub snapshot_hits: u64,
     /// Warm-pool snapshot cells built (or loaded from the store).
     pub snapshot_misses: u64,
-    /// Checkpoint-mode twin transplants performed.
+    /// Sampled windows transplanted from a twin snapshot.
     pub transplants: u64,
     /// Compiled-trace arenas built from scratch (store loads excluded).
     pub trace_builds: u64,
@@ -1574,7 +1574,7 @@ mod engine_metrics_tests {
         let mut m = EngineMetrics::default();
         m.record_job("fork", 12);
         m.record_job("fork", 7);
-        m.record_job("transplant", 3);
+        m.record_job("sample-transplant", 3);
         m.snapshot_hits = 5;
         m.snapshot_misses = 2;
         m.transplants = 1;
@@ -1616,7 +1616,7 @@ mod engine_metrics_tests {
             "{{\"schema\":{ENGINE_METRICS_SCHEMA_VERSION},\"jobs\":3,"
         )));
         // BTreeMap keeps the warm arms sorted, so the document is stable.
-        assert!(j.contains("\"jobs_by_warm\":{\"fork\":2,\"transplant\":1}"));
+        assert!(j.contains("\"jobs_by_warm\":{\"fork\":2,\"sample-transplant\":1}"));
         assert!(j.contains("\"snapshot_hit_rate\":0.714286"));
         assert!(j.contains("\"result\":{\"hits\":3,\"misses\":1,\"hit_rate\":0.750000"));
         assert!(j.contains("\"trace\":{\"hits\":0,\"misses\":2,\"hit_rate\":0.000000"));

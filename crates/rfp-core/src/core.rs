@@ -24,23 +24,32 @@
 //! skips the cache entirely; otherwise it re-executes its own access and
 //! its speculatively woken dependents are cancelled.
 //!
-//! # Scan-free select and LSQ
+//! # Wakeup-driven select and scan-free LSQ
 //!
 //! As in hardware, select and memory disambiguation read small age-ordered
 //! structures, never the whole window:
 //!
-//! * the **reservation station** (`Core::rs`) lists every un-issued entry
-//!   (`phase == Waiting && issue_cycle.is_none()`) with the fields select
-//!   needs — seq, `not_before`, renamed sources, port class;
+//! * the **reservation station** is two bitsets over ROB slots
+//!   (`seq & (ring - 1)`, see `ring_bits.rs`): `Core::rs_wait` marks
+//!   every un-issued entry (`phase == Waiting && issue_cycle.is_none()`),
+//!   and `Core::rs_ready` the subset whose every source register has a
+//!   published prediction (`preg_pred != NEVER`). An entry with an
+//!   unpublished source is *parked* on that register's waiter list
+//!   (`Core::pred_waiters`); the register's first prediction, written
+//!   through `Core::publish_pred`, moves it to `rs_ready` or parks it on
+//!   its next unpublished source. Select walks only `rs_ready`, in age
+//!   order, up to the `rs_entries`-th `rs_wait` bit, and reads the few
+//!   ready [`DynInst`]s from the ROB;
 //! * the **load queue** and **store queue** (`Core::lq`, `Core::sq`) list
 //!   the seqs of the loads and stores in the window. The store scan of a
 //!   load or RFP packet, the ordering-violation check and the RFP-staleness
 //!   sweep of a resolving store walk only these.
 //!
-//! All three are derived state: a function of the ROB, maintained
-//! incrementally at dispatch, issue, squash and retire, rebuilt from the
-//! ROB when a warm snapshot is decoded (never encoded), and compared with
-//! a fresh ROB scan after every cycle in debug builds.
+//! All of these are derived state: a function of the ROB and the register
+//! predictions, maintained incrementally at dispatch, publish, issue,
+//! squash and retire, rebuilt from the ROB when a warm snapshot is decoded
+//! (never encoded), and compared with a fresh ROB scan after every cycle
+//! in debug builds.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -60,6 +69,7 @@ use rfp_types::{Addr, ConfigError, Cycle, PhysReg, SeqNum};
 use crate::config::{CoreConfig, VpMode};
 use crate::event_queue::CalendarQueue;
 use crate::inst::{DlvpInfo, DynInst, Phase, RfpState, VpSource};
+use crate::ring_bits::RingBits;
 
 /// Readiness value meaning "unknown / not ready".
 const NEVER: Cycle = Cycle::MAX;
@@ -86,46 +96,8 @@ struct RfpPacket {
     injected_at: Cycle,
 }
 
-/// The execution-port class an instruction competes for at select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PortClass {
-    /// Integer ALU ops and branches.
-    Alu,
-    /// FP/vector ops.
-    Fp,
-    /// Load AGU.
-    Load,
-    /// Store AGU.
-    Store,
-}
-
-/// A reservation-station entry: the fields select reads, copied from the
-/// instruction's [`DynInst`] when it enters the RS (at dispatch, or when a
-/// squash sends it back). `not_before` is the only one that changes while
-/// it waits, and every write to `DynInst::not_before` updates both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RsEntry {
-    seq: SeqNum,
-    not_before: Cycle,
-    src_phys: [Option<PhysReg>; rfp_trace::MAX_SRCS],
-    port: PortClass,
-}
-
-impl RsEntry {
-    fn of(inst: &DynInst) -> Self {
-        RsEntry {
-            seq: inst.seq,
-            not_before: inst.not_before,
-            src_phys: inst.src_phys,
-            port: match inst.uop.kind {
-                UopKind::Alu { .. } | UopKind::Branch { .. } => PortClass::Alu,
-                UopKind::Fp { .. } => PortClass::Fp,
-                UopKind::Load => PortClass::Load,
-                UopKind::Store => PortClass::Store,
-            },
-        }
-    }
-}
+/// Renamed source registers of an instruction.
+type Srcs = [Option<PhysReg>; rfp_trace::MAX_SRCS];
 
 /// True when `inst` waits in the reservation station: dispatched (or sent
 /// back by a squash) and not yet issued.
@@ -183,8 +155,17 @@ pub struct Core<P: Probe = NoopProbe> {
     next_seq: u64,
     rob: VecDeque<DynInst>,
     rob_base: u64,
-    /// Reservation station: the un-issued window entries, oldest first.
-    rs: Vec<RsEntry>,
+    /// Reservation station: the un-issued window entries, by ROB slot.
+    rs_wait: RingBits,
+    /// The `rs_wait` entries whose every source has a published
+    /// prediction; the only ones select looks at.
+    rs_ready: RingBits,
+    /// Set bits in `rs_wait`.
+    rs_len: usize,
+    /// Per physical register, the seqs of RS entries parked on it until
+    /// its first prediction is published. May hold stale seqs (issued,
+    /// retired or already woken), which the wakeup skips.
+    pred_waiters: Vec<Vec<SeqNum>>,
     /// Load queue: seqs of the loads in the window, oldest first.
     lq: VecDeque<SeqNum>,
     /// Store queue: seqs of the stores in the window, oldest first.
@@ -230,8 +211,8 @@ pub struct Core<P: Probe = NoopProbe> {
     scratch_lines: Vec<Addr>,
 
     /// Dispatches minus issues (saturating at zero); gates dispatch.
-    /// Squashed entries re-enter `rs` without a dispatch, so this is not
-    /// `rs.len()`.
+    /// Squashed entries re-enter the RS without a dispatch, so this is not
+    /// `rs_len`.
     rs_used: usize,
 
     rng: SmallRng,
@@ -328,7 +309,10 @@ impl<P: Probe> Core<P> {
             next_seq: 0,
             rob: VecDeque::with_capacity(cfg.rob_entries),
             rob_base: 0,
-            rs: Vec::with_capacity(cfg.rs_entries),
+            rs_wait: RingBits::for_window(cfg.rob_entries),
+            rs_ready: RingBits::for_window(cfg.rob_entries),
+            rs_len: 0,
+            pred_waiters: vec![Vec::new(); phys],
             lq: VecDeque::with_capacity(cfg.ldq_entries),
             sq: VecDeque::with_capacity(cfg.stq_entries),
             rename_map,
@@ -502,7 +486,10 @@ impl<P: Probe> Core<P> {
             next_seq,
             rob,
             rob_base,
-            rs,
+            rs_wait,
+            rs_ready,
+            rs_len,
+            pred_waiters,
             lq,
             sq,
             rename_map,
@@ -547,7 +534,10 @@ impl<P: Probe> Core<P> {
             next_seq,
             rob,
             rob_base,
-            rs,
+            rs_wait,
+            rs_ready,
+            rs_len,
+            pred_waiters,
             lq,
             sq,
             rename_map,
@@ -624,7 +614,12 @@ impl<P: Probe> Core<P> {
             + self.mem.approx_bytes()
             + self.pt.as_ref().map_or(0, |pt| pt.approx_bytes())
             + self.rob.capacity() * size_of::<DynInst>()
-            + self.rs.capacity() * size_of::<RsEntry>()
+            + self.rs_wait.heap_bytes()
+            + self.rs_ready.heap_bytes()
+            + self.pred_waiters.capacity() * size_of::<Vec<SeqNum>>()
+            + (self.pred_waiters.iter())
+                .map(|w| w.capacity() * size_of::<SeqNum>())
+                .sum::<usize>()
             + (self.lq.capacity() + self.sq.capacity()) * size_of::<SeqNum>()
             + self.free_pregs.capacity() * size_of::<PhysReg>()
             + (self.preg_pred.capacity() + self.preg_actual.capacity()) * size_of::<Cycle>()
@@ -632,7 +627,8 @@ impl<P: Probe> Core<P> {
             + self.rfp_queue.capacity() * size_of::<RfpPacket>()
     }
 
-    /// Rebuilds the RS, load queue and store queue from the ROB — how a
+    /// Rebuilds the RS bitsets, the waiter lists, the load queue and the
+    /// store queue from the ROB and the register predictions — how a
     /// decoded warm snapshot gets its derived state back.
     fn rebuild_derived_lists(&mut self) {
         let rob = &self.rob;
@@ -644,15 +640,28 @@ impl<P: Probe> Core<P> {
         };
         self.lq = seqs(UopKind::is_load);
         self.sq = seqs(UopKind::is_store);
-        self.rs = rob.iter().filter(|i| in_rs(i)).map(RsEntry::of).collect();
+        self.rs_wait = RingBits::for_window(self.cfg.rob_entries);
+        self.rs_ready = RingBits::for_window(self.cfg.rob_entries);
+        self.rs_len = 0;
+        self.pred_waiters = vec![Vec::new(); self.preg_pred.len()];
+        for at in 0..self.rob.len() {
+            let inst = &self.rob[at];
+            if in_rs(inst) {
+                let (seq, srcs) = (inst.seq, inst.src_phys);
+                self.rs_wait.insert(seq.raw());
+                self.rs_len += 1;
+                self.park_or_ready(seq, srcs);
+            }
+        }
     }
 
-    /// Debug-build invariant: the incrementally maintained RS, load-queue
-    /// and store-queue lists equal what a scan of the ROB yields.
+    /// Debug-build invariant: the incrementally maintained RS bitsets,
+    /// waiter lists, load queue and store queue agree with a scan of the
+    /// ROB.
     ///
     /// # Panics
     ///
-    /// Panics naming the list and the first seq at which it differs.
+    /// Panics naming the structure and the first seq at which it differs.
     #[cfg(debug_assertions)]
     fn check_derived_lists(&self) {
         use std::fmt::Debug;
@@ -661,39 +670,63 @@ impl<P: Probe> Core<P> {
         #[cold]
         fn diverged(name: &str, seq: SeqNum, scan: impl Debug, list: impl Debug) -> ! {
             panic!(
-                "{name} list diverges from the ROB at seq {seq}: \
-                 ROB scan gives {scan:?}, list holds {list:?}"
+                "{name} diverges from the ROB at seq {seq}: \
+                 ROB scan gives {scan:?}, it holds {list:?}"
             );
         }
-        let (mut rs, mut lq, mut sq) = (0, 0, 0);
+        let (mut waiting, mut ready, mut lq, mut sq) = (0, 0, 0, 0);
         for inst in &self.rob {
-            if in_rs(inst) {
-                let want = RsEntry::of(inst);
-                match self.rs.get(rs) {
-                    Some(e) if *e == want => {}
-                    e => diverged("RS", inst.seq.min(e.map_or(inst.seq, |e| e.seq)), want, e),
-                }
-                rs += 1;
+            let seq = inst.seq;
+            let wait = in_rs(inst);
+            let unpublished = |p: &&PhysReg| self.preg_pred[p.index()] == NEVER;
+            let woken = wait && !inst.src_phys.iter().flatten().any(|p| unpublished(&p));
+            if self.rs_wait.contains(seq.raw()) != wait {
+                diverged("RS wait bitset", seq, wait, !wait);
+            }
+            if self.rs_ready.contains(seq.raw()) != woken {
+                diverged("RS ready bitset", seq, woken, !woken);
+            }
+            waiting += wait as usize;
+            ready += woken as usize;
+            // A parked entry must be on the waiter list of one of its
+            // unpublished sources, or nothing will ever wake it.
+            if wait
+                && !woken
+                && !(inst.src_phys.iter().flatten())
+                    .filter(unpublished)
+                    .any(|p| self.pred_waiters[p.index()].contains(&seq))
+            {
+                panic!(
+                    "lost wakeup: RS entry seq {seq} is parked on none of its \
+                     unpublished sources {:?}",
+                    inst.src_phys
+                );
             }
             let (queue, at, name) = match inst.uop.kind {
-                UopKind::Load => (&self.lq, &mut lq, "load-queue"),
-                UopKind::Store => (&self.sq, &mut sq, "store-queue"),
+                UopKind::Load => (&self.lq, &mut lq, "load queue"),
+                UopKind::Store => (&self.sq, &mut sq, "store queue"),
                 _ => continue,
             };
             match queue.get(*at) {
-                Some(&s) if s == inst.seq => {}
-                s => diverged(name, inst.seq.min(*s.unwrap_or(&inst.seq)), inst.seq, s),
+                Some(&s) if s == seq => {}
+                s => diverged(name, seq.min(*s.unwrap_or(&seq)), seq, s),
             }
             *at += 1;
         }
-        if let Some(e) = self.rs.get(rs) {
-            diverged("RS", e.seq, None::<RsEntry>, e);
-        }
+        // Every in-window bit matched, so any surplus lies outside it.
+        assert_eq!(
+            (self.rs_wait.count(), self.rs_ready.count()),
+            (waiting, ready),
+            "RS bitsets have bits set outside the window [{}, {})",
+            self.rob_base,
+            self.next_seq
+        );
+        assert_eq!(self.rs_len, waiting, "RS length diverges from the ROB");
         if let Some(l) = self.lq.get(lq) {
-            diverged("load-queue", *l, None::<SeqNum>, l);
+            diverged("load queue", *l, None::<SeqNum>, l);
         }
         if let Some(s) = self.sq.get(sq) {
-            diverged("store-queue", *s, None::<SeqNum>, s);
+            diverged("store queue", *s, None::<SeqNum>, s);
         }
     }
 
@@ -715,8 +748,62 @@ impl<P: Probe> Core<P> {
 
     fn set_dst_timing(&mut self, seq: SeqNum, pred: Cycle, actual: Cycle) {
         if let Some(dst) = self.inst(seq).and_then(|i| i.dst_phys) {
-            self.preg_pred[dst.index()] = pred;
+            self.publish_pred(dst, pred);
             self.preg_actual[dst.index()] = actual;
+        }
+    }
+
+    // ----- wakeup ----------------------------------------------------------
+
+    /// Sets register `preg`'s predicted readiness. Every prediction is
+    /// written here, so the first one (`NEVER` to a cycle) cannot skip
+    /// waking the RS entries parked on `preg`.
+    fn publish_pred(&mut self, preg: PhysReg, at: Cycle) {
+        debug_assert_ne!(at, NEVER, "`unpublish` resets a register");
+        let was = std::mem::replace(&mut self.preg_pred[preg.index()], at);
+        if was == NEVER {
+            self.wake_waiters(preg);
+        }
+    }
+
+    /// Resets `preg` to unknown readiness (freed, re-allocated or
+    /// squashed) and drops its waiters. Readers of a register are younger
+    /// than its producer, so a freed or re-allocated one has none in the
+    /// window, and a squash re-parks its readers afterwards.
+    fn unpublish(&mut self, preg: PhysReg) {
+        self.preg_pred[preg.index()] = NEVER;
+        self.preg_actual[preg.index()] = NEVER;
+        self.pred_waiters[preg.index()].clear();
+    }
+
+    /// Re-examines every RS entry parked on the just-published `preg`.
+    fn wake_waiters(&mut self, preg: PhysReg) {
+        let mut waiters = std::mem::take(&mut self.pred_waiters[preg.index()]);
+        for &seq in &waiters {
+            // Skip stale seqs: retired, issued, or already woken.
+            let Some(inst) = self.inst(seq) else { continue };
+            if !self.rs_wait.contains(seq.raw()) || self.rs_ready.contains(seq.raw()) {
+                continue;
+            }
+            let srcs = inst.src_phys;
+            self.park_or_ready(seq, srcs);
+        }
+        // Nothing parks on a published register, so the list is still
+        // empty: hand its capacity back.
+        waiters.clear();
+        self.pred_waiters[preg.index()] = waiters;
+    }
+
+    /// Marks RS entry `seq` ready when every source in `srcs` has a
+    /// published prediction, or parks it on the first that has none.
+    fn park_or_ready(&mut self, seq: SeqNum, srcs: Srcs) {
+        match srcs
+            .iter()
+            .flatten()
+            .find(|p| self.preg_pred[p.index()] == NEVER)
+        {
+            Some(p) => self.pred_waiters[p.index()].push(seq),
+            None => self.rs_ready.insert(seq.raw()),
         }
     }
 
@@ -732,7 +819,7 @@ impl<P: Probe> Core<P> {
                     if self.preg_pred[preg.index()] != NEVER
                         && self.preg_actual[preg.index()] == actual
                     {
-                        self.preg_pred[preg.index()] = actual;
+                        self.publish_pred(preg, actual);
                     }
                 }
                 EventKind::Complete { seq, gen } => self.complete_inst(seq, gen),
@@ -841,10 +928,6 @@ impl<P: Probe> Core<P> {
         let mut dsts = std::mem::take(&mut self.scratch_pregs);
         dsts.clear();
         let mut squashed_rfp = 0u64;
-        // Every squashed entry re-enters the RS, so its tail from `first`
-        // on is exactly the squashed window suffix.
-        let kept = self.rs.partition_point(|e| e.seq < first);
-        self.rs.truncate(kept);
         for inst in self.rob.iter_mut().skip(start) {
             // A live packet dies with its squashed load: account for it
             // here, *before* squash_execution folds it into Dropped, so
@@ -862,18 +945,30 @@ impl<P: Probe> Core<P> {
                     );
                 }
             }
+            // Every squashed entry re-enters the RS.
+            if !in_rs(inst) {
+                self.rs_wait.insert(inst.seq.raw());
+                self.rs_len += 1;
+            }
+            self.rs_ready.remove(inst.seq.raw());
             inst.squash_execution(not_before);
-            self.rs.push(RsEntry::of(inst));
             if let Some(d) = inst.dst_phys {
                 dsts.push(d);
             }
         }
         self.stats.rfp_dropped_squashed += squashed_rfp;
         for &d in &dsts {
-            self.preg_pred[d.index()] = NEVER;
-            self.preg_actual[d.index()] = NEVER;
+            self.unpublish(d);
         }
         self.scratch_pregs = dsts;
+        // Only now that the squashed destinations are unpublished: park
+        // each squashed entry again (an entry still parked on an older
+        // producer may be listed there twice; the wakeup skips repeats).
+        for at in start..self.rob.len() {
+            let inst = &self.rob[at];
+            let (seq, srcs) = (inst.seq, inst.src_phys);
+            self.park_or_ready(seq, srcs);
+        }
         // Queued prefetch packets of squashed loads die with them (their
         // RfpState became Dropped inside squash_execution; the queue is
         // cleaned lazily by the engine's state check).
@@ -1111,8 +1206,7 @@ impl<P: Probe> Core<P> {
         }
         // Free the previous mapping of the destination register.
         if let Some(prev) = inst.prev_phys {
-            self.preg_pred[prev.index()] = NEVER;
-            self.preg_actual[prev.index()] = NEVER;
+            self.unpublish(prev);
             self.free_pregs.push(prev);
         }
     }
@@ -1132,16 +1226,27 @@ impl<P: Probe> Core<P> {
         let mut to_issue = std::mem::take(&mut self.scratch_issue);
         to_issue.clear();
         // Select examines the oldest `rs_entries` RS entries (squashed
-        // re-executions can push the list past the allocation limit).
-        for e in self.rs.iter().take(self.cfg.rs_entries) {
+        // re-executions can push the RS past the allocation limit), and of
+        // those only the ready ones: a parked entry has a `NEVER` source,
+        // which no cycle satisfies.
+        let window = self.rob.len();
+        let limit = if self.rs_len > self.cfg.rs_entries {
+            (self.rs_wait)
+                .nth_one(self.rob_base, window, self.cfg.rs_entries)
+                .unwrap_or(window)
+        } else {
+            window
+        };
+        for at in self.rs_ready.ones(self.rob_base, limit) {
             if alu == 0 && fp == 0 && load_agu == 0 && store_agu == 0 {
                 break;
             }
-            if e.not_before > now {
+            let inst = &self.rob[at];
+            if inst.not_before > now {
                 continue;
             }
             // Speculative wakeup: all sources *predicted* ready.
-            let woken = e
+            let woken = inst
                 .src_phys
                 .iter()
                 .flatten()
@@ -1149,50 +1254,31 @@ impl<P: Probe> Core<P> {
             if !woken {
                 continue;
             }
-            let port = match e.port {
-                PortClass::Alu => &mut alu,
-                PortClass::Fp => &mut fp,
-                PortClass::Load => &mut load_agu,
-                PortClass::Store => &mut store_agu,
+            let port = match inst.uop.kind {
+                UopKind::Alu { .. } | UopKind::Branch { .. } => &mut alu,
+                UopKind::Fp { .. } => &mut fp,
+                UopKind::Load => &mut load_agu,
+                UopKind::Store => &mut store_agu,
             };
             if *port == 0 {
                 continue;
             }
             *port -= 1;
-            to_issue.push(e.seq);
+            to_issue.push(inst.seq);
         }
 
-        // Issue oldest first, keeping the seqs that left the RS. A squash
-        // inside `issue_one` only sends back entries younger than the one
-        // issuing, so no earlier seq in the list re-enters the RS.
-        let mut issued = 0;
-        for i in 0..to_issue.len() {
-            let seq = to_issue[i];
-            if self.issue_one(seq) {
-                to_issue[issued] = seq;
-                issued += 1;
-            }
-        }
-        to_issue.truncate(issued);
-        if !to_issue.is_empty() {
-            // Both lists are in age order: one merge pass drops them.
-            let mut left = to_issue.iter().peekable();
-            self.rs.retain(|e| {
-                let gone = left.peek() == Some(&&e.seq);
-                if gone {
-                    left.next();
-                }
-                !gone
-            });
-            debug_assert!(left.peek().is_none(), "issued seq missing from the RS");
+        // Issue oldest first. A squash inside `issue_one` sends back only
+        // entries younger than the one issuing; a selected one among them
+        // is still in the RS, so its own `issue_one` below stays valid.
+        for &seq in &to_issue {
+            self.issue_one(seq);
         }
         self.scratch_issue = to_issue;
     }
 
     /// Issues a selected RS entry, or — when the scoreboard shows a
     /// mis-speculated wakeup — leaves it in the RS for a later retry.
-    /// Returns true when the instruction left the RS.
-    fn issue_one(&mut self, seq: SeqNum) -> bool {
+    fn issue_one(&mut self, seq: SeqNum) {
         let now = self.cycle;
         let inst = self.inst(seq).expect("selected inst is in the window");
         // Scoreboard check: sources must be *actually* ready, or this was a
@@ -1211,17 +1297,15 @@ impl<P: Probe> Core<P> {
             if let Some(i) = self.inst_mut(seq) {
                 i.not_before = not_before;
             }
-            let at = self
-                .rs
-                .binary_search_by_key(&seq, |e| e.seq)
-                .expect("a selected entry is in the RS");
-            self.rs[at].not_before = not_before;
-            return false;
+            return;
         }
         let uop = self.inst(seq).expect("in window").uop;
         if let Some(i) = self.inst_mut(seq) {
             i.issue_cycle = Some(now);
         }
+        self.rs_wait.remove(seq.raw());
+        self.rs_ready.remove(seq.raw());
+        self.rs_len -= 1;
         self.rs_used = self.rs_used.saturating_sub(1);
         match uop.kind {
             UopKind::Alu { latency } | UopKind::Fp { latency } => {
@@ -1235,7 +1319,6 @@ impl<P: Probe> Core<P> {
             UopKind::Load => self.execute_load(seq),
             UopKind::Store => self.execute_store(seq),
         }
-        true
     }
 
     fn finish_simple(&mut self, seq: SeqNum, done: Cycle) {
@@ -1931,7 +2014,7 @@ impl<P: Probe> Core<P> {
             src_ready = src_ready.max(pr);
         }
         let pred = rfp_complete.max(src_ready + 1);
-        self.preg_pred[dst.index()] = pred;
+        self.publish_pred(dst, pred);
         // `actual` stays NEVER until the load issues and verifies the
         // address; dependents selected before that fail the scoreboard and
         // re-issue — the cancel path the paper reuses.
@@ -2009,8 +2092,7 @@ impl<P: Probe> Core<P> {
             let preg = self.free_pregs.pop().expect("checked non-empty");
             inst.prev_phys = Some(self.rename_map[d.index() % 64]);
             self.rename_map[d.index() % 64] = preg;
-            self.preg_pred[preg.index()] = NEVER;
-            self.preg_actual[preg.index()] = NEVER;
+            self.unpublish(preg);
             inst.dst_phys = Some(preg);
         }
         inst.ready_at_alloc = inst
@@ -2061,7 +2143,9 @@ impl<P: Probe> Core<P> {
             }
             _ => {}
         }
-        self.rs.push(RsEntry::of(&inst));
+        self.rs_wait.insert(seq.raw());
+        self.rs_len += 1;
+        self.park_or_ready(seq, inst.src_phys);
         self.rob.push_back(inst);
     }
 
@@ -2130,7 +2214,7 @@ impl<P: Probe> Core<P> {
         // Value-predicted loads break their dependence right here.
         if inst.predicted_value.is_some() {
             if let Some(dst) = inst.dst_phys {
-                self.preg_pred[dst.index()] = now;
+                self.publish_pred(dst, now);
                 self.preg_actual[dst.index()] = now;
             }
         }
@@ -2423,7 +2507,7 @@ mod codec_impls {
     //! bytes so one warmup can be paid once *per store lifetime* rather
     //! than once per process.
 
-    use super::{Core, EventKind, RfpPacket, WarmState};
+    use super::{Core, EventKind, RfpPacket, RingBits, WarmState};
     use rand::rngs::SmallRng;
     use rfp_obs::NoopProbe;
     use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
@@ -2491,10 +2575,14 @@ mod codec_impls {
                 next_seq,
                 rob,
                 rob_base,
-                // Derived from the ROB: rebuilt on decode. The queues'
-                // lengths stand in for the occupancy counters earlier
-                // snapshots carried, so the bytes are unchanged.
-                rs: _,
+                // Derived from the ROB and the register predictions:
+                // rebuilt on decode. The queues' lengths stand in for the
+                // occupancy counters earlier snapshots carried, so the
+                // bytes are unchanged.
+                rs_wait: _,
+                rs_ready: _,
+                rs_len: _,
+                pred_waiters: _,
                 lq,
                 sq,
                 rename_map,
@@ -2582,7 +2670,10 @@ mod codec_impls {
                 next_seq: Codec::decode(r)?,
                 rob: Codec::decode(r)?,
                 rob_base: Codec::decode(r)?,
-                rs: Vec::new(),
+                rs_wait: RingBits::for_window(0),
+                rs_ready: RingBits::for_window(0),
+                rs_len: 0,
+                pred_waiters: Vec::new(),
                 lq: VecDeque::new(),
                 sq: VecDeque::new(),
                 rename_map: Codec::decode(r)?,
@@ -2668,6 +2759,17 @@ mod codec_impls {
                     .all(|(inst, seq)| inst.seq.raw() == seq);
             if !window_ok {
                 return Err(CodecError::Invalid("core window sequence"));
+            }
+            // Rebuilding the RS reads the predictions of every renamed
+            // register in the window.
+            let in_file = |p: &Option<rfp_types::PhysReg>| p.is_none_or(|p| p.index() < phys);
+            if !(core.rob.iter()).all(|i| {
+                i.src_phys
+                    .iter()
+                    .chain([&i.dst_phys, &i.prev_phys])
+                    .all(in_file)
+            }) {
+                return Err(CodecError::Invalid("core window registers"));
             }
             core.rebuild_derived_lists();
             if core.lq.len() != ldq_used || core.sq.len() != stq_used {
@@ -2939,6 +3041,12 @@ mod tests {
             // A flip may survive decode (counter bits), but must not panic.
             let _ = WarmState::from_bytes(&bad);
         }
+        // Rebuilding the RS reads the prediction of every register a
+        // window entry names, so one outside the register file is an error.
+        let mut bad = warm.clone();
+        let phys = bad.core.cfg.phys_regs() as u16;
+        bad.core.rob.back_mut().expect("a warm window").src_phys[0] = Some(PhysReg::new(phys));
+        assert!(WarmState::from_bytes(&bad.to_bytes()).is_err());
     }
 
     #[test]

@@ -35,6 +35,7 @@ mod config;
 mod core;
 mod event_queue;
 mod inst;
+mod ring_bits;
 
 pub use crate::core::{Core, WarmState};
 pub use config::{BranchMode, CoreConfig, RfpConfig, VpMode};

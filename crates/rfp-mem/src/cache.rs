@@ -6,6 +6,8 @@
 
 use rfp_types::{Addr, ConfigError, Cycle};
 
+use crate::tag_store::TagStore;
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -53,15 +55,8 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// Larger = more recently used.
-    lru: u64,
-}
-
-/// A set-associative tag store.
+/// A set-associative cache: one [`CacheConfig`] level's tag store, keyed
+/// by line number, plus its hit and miss counters.
 ///
 /// # Examples
 ///
@@ -78,8 +73,7 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    stamp: u64,
+    tags: TagStore,
     hits: u64,
     misses: u64,
 }
@@ -93,11 +87,9 @@ impl Cache {
     /// [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Result<Self, ConfigError> {
         config.validate("cache")?;
-        let sets = vec![vec![Way::default(); config.ways]; config.sets()];
         Ok(Cache {
             config,
-            sets,
-            stamp: 0,
+            tags: TagStore::new(config.sets(), config.ways),
             hits: 0,
             misses: 0,
         })
@@ -111,58 +103,27 @@ impl Cache {
     /// Looks up the line containing `addr`, updating LRU on a hit.
     /// Returns true on a hit. Does not allocate on a miss.
     pub fn access(&mut self, addr: Addr) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = stamp;
+        let hit = self.tags.access(addr.line_number());
+        if hit {
             self.hits += 1;
-            true
         } else {
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Checks presence without updating LRU or counters (used by prefetch
     /// filters and oracle probes).
     pub fn probe(&self, addr: Addr) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.tags.probe(addr.line_number())
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if needed.
     /// Returns the evicted line's address, if any.
     pub fn fill(&mut self, addr: Addr) -> Option<Addr> {
-        let (set, tag) = self.locate(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = stamp;
-            return None;
-        }
-        let sets = self.config.sets() as u64;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("ways is non-empty");
-        let evicted = victim.valid.then(|| {
-            let line_no = victim.tag * sets + set as u64;
-            Addr::new(line_no << rfp_types::CACHE_LINE_SHIFT)
-        });
-        victim.tag = tag;
-        victim.valid = true;
-        victim.lru = stamp;
-        evicted
-    }
-
-    /// Invalidates the line containing `addr`, if present.
-    pub fn invalidate(&mut self, addr: Addr) {
-        let (set, tag) = self.locate(addr);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.valid = false;
-        }
+        self.tags
+            .fill(addr.line_number())
+            .map(|line| Addr::new(line << rfp_types::CACHE_LINE_SHIFT))
     }
 
     /// Hit count since construction.
@@ -175,19 +136,11 @@ impl Cache {
         self.misses
     }
 
-    /// Approximate host-memory footprint of the tag store in bytes — what a
-    /// warm-state snapshot of this cache costs to retain. Dominated by the
-    /// per-way metadata; a lower bound (allocator overhead is not counted).
+    /// Host-memory footprint in bytes — what a warm-state snapshot of
+    /// this cache costs to retain: the struct plus its two flat tag-store
+    /// arrays (allocator overhead is not counted).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.sets.capacity() * std::mem::size_of::<Vec<Way>>()
-            + self.sets.len() * self.config.ways * std::mem::size_of::<Way>()
-    }
-
-    fn locate(&self, addr: Addr) -> (usize, u64) {
-        let line = addr.line_number();
-        let sets = self.config.sets() as u64;
-        ((line % sets) as usize, line / sets)
+        std::mem::size_of::<Self>() + self.tags.heap_bytes()
     }
 }
 
@@ -196,7 +149,8 @@ mod codec_impls {
     //! makes new fields a compile error; decode re-validates geometry so
     //! corrupt bytes surface as a miss, never a later panic.
 
-    use super::{Cache, CacheConfig, Way};
+    use super::{Cache, CacheConfig};
+    use crate::tag_store::{TagStore, WireTag};
     use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 
     impl Codec for CacheConfig {
@@ -219,34 +173,16 @@ mod codec_impls {
         }
     }
 
-    impl Codec for Way {
-        fn encode(&self, w: &mut ByteWriter) {
-            let Way { tag, valid, lru } = *self;
-            tag.encode(w);
-            valid.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(Way {
-                tag: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
     impl Codec for Cache {
         fn encode(&self, w: &mut ByteWriter) {
             let Cache {
                 config,
-                sets,
-                stamp,
+                tags,
                 hits,
                 misses,
             } = self;
             config.encode(w);
-            sets.encode(w);
-            stamp.encode(w);
+            tags.encode(w, WireTag::Quotient);
             hits.encode(w);
             misses.encode(w);
         }
@@ -255,14 +191,9 @@ mod codec_impls {
             config
                 .validate("cache")
                 .map_err(|_| CodecError::Invalid("cache geometry"))?;
-            let sets: Vec<Vec<Way>> = Codec::decode(r)?;
-            if sets.len() != config.sets() || sets.iter().any(|s| s.len() != config.ways) {
-                return Err(CodecError::Invalid("cache set shape"));
-            }
             Ok(Cache {
                 config,
-                sets,
-                stamp: Codec::decode(r)?,
+                tags: TagStore::decode(r, config.sets(), config.ways, WireTag::Quotient)?,
                 hits: Codec::decode(r)?,
                 misses: Codec::decode(r)?,
             })
@@ -362,11 +293,22 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
+    fn codec_refuses_a_terabyte_geometry_before_allocating() {
+        use rfp_types::codec::{decode_from_slice, encode_to_vec, CodecError};
         let mut c = cache(4096, 4);
-        c.fill(Addr::new(0x100));
-        c.invalidate(Addr::new(0x100));
-        assert!(!c.probe(Addr::new(0x100)));
+        c.fill(Addr::new(0x40));
+        let mut bytes = encode_to_vec(&c);
+        assert_eq!(bytes[..8], 4096u64.to_le_bytes());
+        // 1 TiB, 4-way: a valid geometry of 2^32 sets, whose tag store
+        // the 1 KiB that follow cannot hold.
+        bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        match decode_from_slice::<Cache>(&bytes) {
+            Err(CodecError::ShortRead { wanted, available }) => {
+                assert!(wanted > 1 << 38, "wanted {wanted}");
+                assert_eq!(available, bytes.len() - 24);
+            }
+            other => panic!("expected a short read, got {other:?}"),
+        }
     }
 
     #[test]

@@ -447,13 +447,16 @@ impl MemoryHierarchy {
     }
 
     /// Approximate host-memory footprint in bytes — what a warm-state
-    /// snapshot of this hierarchy costs to retain. Dominated by the LLC tag
-    /// store; a lower bound (hash-map overhead is not counted).
+    /// snapshot of this hierarchy costs to retain: the struct plus the
+    /// flat tag-store arrays of the three caches and both TLB levels,
+    /// dominated by the LLC's. A lower bound: the MSHR files, the
+    /// prefetcher's page tracker and allocator overhead are not counted.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.l1.approx_bytes()
             + self.l2.approx_bytes()
             + self.llc.approx_bytes()
+            + self.tlb.heap_bytes()
     }
 
     fn issue_l2_prefetch(&mut self, line: Addr, now: Cycle) {
@@ -832,6 +835,56 @@ mod tests {
         for cut in cuts {
             assert!(rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bytes[..cut]).is_err());
         }
+    }
+
+    /// FNV-1a of the encoding after a fixed mix of streams, random lines,
+    /// prefetch fills and prewarmed regions.
+    fn encoded_digest_after_fixed_traffic(cfg: HierarchyConfig) -> u64 {
+        let mut m = MemoryHierarchy::new(cfg).unwrap();
+        m.prewarm_region(Addr::new(0x300_0000), 8192, HitLevel::L1);
+        m.prewarm_region(Addr::new(0x400_0000), 64 << 10, HitLevel::Llc);
+        let mut t = 0;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let a = match i % 4 {
+                0 => 0x10_0000 + (i / 4) * 64,
+                1 => 0x300_0000 + x % 8192,
+                2 => x % (64 << 20),
+                _ => 0x400_0000 + x % (64 << 10),
+            };
+            if i % 97 == 0 {
+                t = m.prefetch_fill(Addr::new(a), t);
+            } else {
+                t = m
+                    .access(Addr::new(a), t, i % 5 == 0)
+                    .complete_at
+                    .min(t + 40);
+            }
+        }
+        rfp_types::fnv1a_64(&rfp_types::codec::encode_to_vec(&m))
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // Digests of the nested per-set vectors' encoding, which the flat
+        // tag store must reproduce byte for byte so that stored warm
+        // snapshots stay valid. The second geometry has 96 L1 and STLB
+        // sets and 768 L2 sets: the modulo path, not the mask.
+        assert_eq!(
+            encoded_digest_after_fixed_traffic(HierarchyConfig::tiger_lake()),
+            0xd867_8d90_d00e_3c5f
+        );
+        let mut odd = HierarchyConfig::tiger_lake();
+        odd.l1.size_bytes = 72 << 10;
+        odd.l2.size_bytes = 960 << 10;
+        odd.stlb.entries = 1152;
+        assert_eq!(
+            encoded_digest_after_fixed_traffic(odd),
+            0x21a7_1b57_15de_cd41
+        );
     }
 
     #[test]

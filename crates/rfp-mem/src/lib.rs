@@ -27,6 +27,7 @@ mod hierarchy;
 mod mshr;
 mod ports;
 mod prefetch;
+mod tag_store;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig};

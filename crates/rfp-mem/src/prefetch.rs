@@ -12,6 +12,9 @@ use rfp_types::{Addr, PAGE_SHIFT};
 /// Maximum tracked pages (LRU-replaced).
 const TRACKER_CAPACITY: usize = 64;
 
+/// Cache lines in a 4 KiB page.
+const LINES_PER_PAGE: i64 = 1 << (PAGE_SHIFT - rfp_types::CACHE_LINE_SHIFT);
+
 #[derive(Debug, Clone, Copy)]
 struct PageEntry {
     page: u64,
@@ -30,8 +33,8 @@ struct PageEntry {
 /// use rfp_types::Addr;
 ///
 /// let mut p = StreamPrefetcher::new(2);
-/// assert!(p.train(Addr::new(0x1000)).is_empty());   // first touch
-/// let out = p.train(Addr::new(0x1040));             // +1 line: stream armed
+/// assert_eq!(p.train(Addr::new(0x1000)).len(), 0);  // first touch
+/// let out: Vec<Addr> = p.train(Addr::new(0x1040)).collect(); // +1 line: stream armed
 /// assert_eq!(out, vec![Addr::new(0x1080), Addr::new(0x10c0)]);
 /// ```
 #[derive(Debug, Clone)]
@@ -55,68 +58,71 @@ impl StreamPrefetcher {
     }
 
     /// Trains on a miss/access reaching the L2 and returns the line
-    /// addresses to prefetch (empty until a stream is armed).
-    pub fn train(&mut self, addr: Addr) -> Vec<Addr> {
+    /// addresses to prefetch (none until a stream is armed). The iterator
+    /// borrows nothing, so the caller can act on each line as it comes.
+    pub fn train(&mut self, addr: Addr) -> impl ExactSizeIterator<Item = Addr> {
+        let direction = self.track(addr);
+        // Stay within the page: stream prefetchers do not cross 4 KiB
+        // boundaries (physical-address ambiguity). The targets move one
+        // line at a time, so the ones inside the page are a prefix.
+        let line_in_page = Self::line_in_page(addr);
+        let room = match direction {
+            1 => LINES_PER_PAGE - 1 - line_in_page,
+            -1 => line_in_page,
+            _ => 0,
+        };
+        let count = (room as usize).min(self.degree);
+        self.issued += count as u64;
+        let (line, step) = (addr.line(), direction * rfp_types::CACHE_LINE_BYTES as i64);
+        (1..count + 1).map(move |i| line.offset(step * i as i64))
+    }
+
+    /// Updates the tracker with `addr` and returns the armed stream's
+    /// direction (±1), or 0 when no prefetch should issue.
+    fn track(&mut self, addr: Addr) -> i64 {
         self.stamp += 1;
         let stamp = self.stamp;
         let page = addr.page_frame();
-        let line_in_page = ((addr.raw() >> rfp_types::CACHE_LINE_SHIFT)
-            & ((1 << (PAGE_SHIFT - rfp_types::CACHE_LINE_SHIFT)) - 1))
-            as i64;
+        let line_in_page = Self::line_in_page(addr);
 
-        let idx = self.entries.iter().position(|e| e.page == page);
-        let entry = match idx {
-            Some(i) => {
-                let e = &mut self.entries[i];
-                e.lru = stamp;
-                let delta = line_in_page - e.last_line;
-                if delta == e.direction && delta != 0 {
-                    e.confident = true;
-                } else if delta != 0 {
-                    e.direction = delta.signum();
-                    e.confident = delta.abs() == 1;
-                }
-                e.last_line = line_in_page;
-                *e
+        let Some(e) = self.entries.iter_mut().find(|e| e.page == page) else {
+            let e = PageEntry {
+                page,
+                last_line: line_in_page,
+                direction: 1,
+                confident: false,
+                lru: stamp,
+            };
+            if self.entries.len() < TRACKER_CAPACITY {
+                self.entries.push(e);
+            } else {
+                let victim = self
+                    .entries
+                    .iter_mut()
+                    .min_by_key(|e| e.lru)
+                    .expect("non-empty");
+                *victim = e;
             }
-            None => {
-                let e = PageEntry {
-                    page,
-                    last_line: line_in_page,
-                    direction: 1,
-                    confident: false,
-                    lru: stamp,
-                };
-                if self.entries.len() < TRACKER_CAPACITY {
-                    self.entries.push(e);
-                } else {
-                    let victim = self
-                        .entries
-                        .iter_mut()
-                        .min_by_key(|e| e.lru)
-                        .expect("non-empty");
-                    *victim = e;
-                }
-                return Vec::new();
-            }
+            return 0;
         };
+        e.lru = stamp;
+        let delta = line_in_page - e.last_line;
+        if delta == e.direction && delta != 0 {
+            e.confident = true;
+        } else if delta != 0 {
+            e.direction = delta.signum();
+            e.confident = delta.abs() == 1;
+        }
+        e.last_line = line_in_page;
+        if e.confident {
+            e.direction
+        } else {
+            0
+        }
+    }
 
-        if !entry.confident {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.degree);
-        for i in 1..=self.degree as i64 {
-            let target = addr
-                .line()
-                .offset(entry.direction * i * rfp_types::CACHE_LINE_BYTES as i64);
-            // Stay within the page: stream prefetchers do not cross 4 KiB
-            // boundaries (physical-address ambiguity).
-            if target.page_frame() == page {
-                out.push(target);
-            }
-        }
-        self.issued += out.len() as u64;
-        out
+    fn line_in_page(addr: Addr) -> i64 {
+        ((addr.raw() >> rfp_types::CACHE_LINE_SHIFT) & (LINES_PER_PAGE as u64 - 1)) as i64
     }
 
     /// Lines issued since construction.
@@ -193,8 +199,8 @@ mod tests {
     #[test]
     fn ascending_stream_arms_after_two_touches() {
         let mut p = StreamPrefetcher::new(2);
-        assert!(p.train(Addr::new(0x2000)).is_empty());
-        let out = p.train(Addr::new(0x2040));
+        assert!(p.train(Addr::new(0x2000)).next().is_none());
+        let out: Vec<Addr> = p.train(Addr::new(0x2040)).collect();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], Addr::new(0x2080));
     }
@@ -202,24 +208,23 @@ mod tests {
     #[test]
     fn descending_stream_is_detected() {
         let mut p = StreamPrefetcher::new(1);
-        p.train(Addr::new(0x3fc0));
-        let out = p.train(Addr::new(0x3f80));
+        let _ = p.train(Addr::new(0x3fc0));
+        let out: Vec<Addr> = p.train(Addr::new(0x3f80)).collect();
         assert_eq!(out, vec![Addr::new(0x3f40)]);
     }
 
     #[test]
     fn random_touches_do_not_arm() {
         let mut p = StreamPrefetcher::new(2);
-        p.train(Addr::new(0x4000));
-        let out = p.train(Addr::new(0x4400)); // +16 lines, not sequential
-        assert!(out.is_empty());
+        let _ = p.train(Addr::new(0x4000));
+        assert_eq!(p.train(Addr::new(0x4400)).len(), 0); // +16 lines, not sequential
     }
 
     #[test]
     fn prefetches_do_not_cross_page_boundary() {
         let mut p = StreamPrefetcher::new(4);
-        p.train(Addr::new(0x1f40));
-        let out = p.train(Addr::new(0x1f80));
+        let _ = p.train(Addr::new(0x1f40));
+        let out: Vec<Addr> = p.train(Addr::new(0x1f80)).collect();
         // Only 0x1fc0 is still inside the page.
         assert_eq!(out, vec![Addr::new(0x1fc0)]);
     }
@@ -228,17 +233,17 @@ mod tests {
     fn tracker_replaces_lru_page() {
         let mut p = StreamPrefetcher::new(1);
         for i in 0..(TRACKER_CAPACITY as u64 + 8) {
-            p.train(Addr::new(i << 12));
+            let _ = p.train(Addr::new(i << 12));
         }
         // Re-training the evicted first page starts from scratch.
-        assert!(p.train(Addr::new(0x0)).is_empty());
+        assert!(p.train(Addr::new(0x0)).next().is_none());
     }
 
     #[test]
     fn repeated_same_line_does_not_arm() {
         let mut p = StreamPrefetcher::new(2);
-        p.train(Addr::new(0x8000));
-        assert!(p.train(Addr::new(0x8000)).is_empty());
-        assert!(p.train(Addr::new(0x8010)).is_empty()); // same line
+        let _ = p.train(Addr::new(0x8000));
+        assert!(p.train(Addr::new(0x8000)).next().is_none());
+        assert!(p.train(Addr::new(0x8010)).next().is_none()); // same line
     }
 }

@@ -7,6 +7,8 @@
 
 use rfp_types::{Addr, ConfigError, Cycle};
 
+use crate::tag_store::TagStore;
+
 /// Geometry of one TLB level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -51,57 +53,19 @@ pub enum TlbOutcome {
     Walk,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct TlbWay {
-    vpn: u64,
-    valid: bool,
-    lru: u64,
-}
-
+/// One TLB level: its geometry and a tag store keyed by VPN.
 #[derive(Debug, Clone)]
 struct TlbLevel {
     config: TlbConfig,
-    sets: Vec<Vec<TlbWay>>,
-    stamp: u64,
+    tags: TagStore,
 }
 
 impl TlbLevel {
     fn new(config: TlbConfig) -> Self {
         TlbLevel {
-            sets: vec![vec![TlbWay::default(); config.ways]; config.sets()],
+            tags: TagStore::new(config.sets(), config.ways),
             config,
-            stamp: 0,
         }
-    }
-
-    fn lookup(&mut self, vpn: u64) -> bool {
-        let set = (vpn % self.config.sets() as u64) as usize;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.vpn == vpn) {
-            w.lru = stamp;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn fill(&mut self, vpn: u64) {
-        let set = (vpn % self.config.sets() as u64) as usize;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.vpn == vpn) {
-            w.lru = stamp;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("non-empty");
-        victim.vpn = vpn;
-        victim.valid = true;
-        victim.lru = stamp;
     }
 }
 
@@ -153,17 +117,17 @@ impl DataTlb {
     /// Translates `addr`, filling both levels on a miss.
     pub fn translate(&mut self, addr: Addr) -> TlbOutcome {
         let vpn = addr.page_frame();
-        if self.dtlb.lookup(vpn) {
+        if self.dtlb.tags.access(vpn) {
             self.dtlb_hits += 1;
             TlbOutcome::DtlbHit
-        } else if self.stlb.lookup(vpn) {
+        } else if self.stlb.tags.access(vpn) {
             self.stlb_hits += 1;
-            self.dtlb.fill(vpn);
+            self.dtlb.tags.fill(vpn);
             TlbOutcome::StlbHit
         } else {
             self.walks += 1;
-            self.stlb.fill(vpn);
-            self.dtlb.fill(vpn);
+            self.stlb.tags.fill(vpn);
+            self.dtlb.tags.fill(vpn);
             TlbOutcome::Walk
         }
     }
@@ -171,7 +135,7 @@ impl DataTlb {
     /// Checks whether `addr` would hit the DTLB, without filling anything —
     /// used by the RFP engine to decide to drop a prefetch.
     pub fn probe_dtlb(&mut self, addr: Addr) -> bool {
-        self.dtlb.lookup(addr.page_frame())
+        self.dtlb.tags.access(addr.page_frame())
     }
 
     /// Added latency of outcome `o`.
@@ -187,12 +151,18 @@ impl DataTlb {
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.dtlb_hits, self.stlb_hits, self.walks)
     }
+
+    /// Host bytes of both levels' tag-store arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.dtlb.tags.heap_bytes() + self.stlb.tags.heap_bytes()
+    }
 }
 
 mod codec_impls {
     //! Binary codec for warm-state persistence.
 
-    use super::{DataTlb, TlbConfig, TlbLevel, TlbWay};
+    use super::{DataTlb, TlbConfig, TlbLevel};
+    use crate::tag_store::{TagStore, WireTag};
     use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 
     impl Codec for TlbConfig {
@@ -215,46 +185,20 @@ mod codec_impls {
         }
     }
 
-    impl Codec for TlbWay {
-        fn encode(&self, w: &mut ByteWriter) {
-            let TlbWay { vpn, valid, lru } = *self;
-            vpn.encode(w);
-            valid.encode(w);
-            lru.encode(w);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(TlbWay {
-                vpn: Codec::decode(r)?,
-                valid: Codec::decode(r)?,
-                lru: Codec::decode(r)?,
-            })
-        }
-    }
-
     impl Codec for TlbLevel {
         fn encode(&self, w: &mut ByteWriter) {
-            let TlbLevel {
-                config,
-                sets,
-                stamp,
-            } = self;
+            let TlbLevel { config, tags } = self;
             config.encode(w);
-            sets.encode(w);
-            stamp.encode(w);
+            tags.encode(w, WireTag::Key);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             let config = TlbConfig::decode(r)?;
             config
                 .validate("tlb")
                 .map_err(|_| CodecError::Invalid("tlb geometry"))?;
-            let sets: Vec<Vec<TlbWay>> = Codec::decode(r)?;
-            if sets.len() != config.sets() || sets.iter().any(|s| s.len() != config.ways) {
-                return Err(CodecError::Invalid("tlb set shape"));
-            }
             Ok(TlbLevel {
+                tags: TagStore::decode(r, config.sets(), config.ways, WireTag::Key)?,
                 config,
-                sets,
-                stamp: Codec::decode(r)?,
             })
         }
     }

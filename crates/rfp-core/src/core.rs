@@ -279,6 +279,13 @@ impl<P: Probe> Core<P> {
     /// Returns a [`ConfigError`] when the configuration is invalid.
     pub fn with_probe(cfg: CoreConfig, probe: P) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        let mem = MemoryHierarchy::new(cfg.mem)?;
+        Core::around(cfg, probe, mem)
+    }
+
+    /// Builds a core for the validated `cfg` around `mem`, a hierarchy of
+    /// `cfg.mem`, so a caller with a warm hierarchy builds no cold one.
+    fn around(cfg: CoreConfig, probe: P, mem: MemoryHierarchy) -> Result<Self, ConfigError> {
         let phys = cfg.phys_regs();
         let mut rename_map = [PhysReg::new(0); 64];
         for (i, m) in rename_map.iter_mut().enumerate() {
@@ -319,7 +326,7 @@ impl<P: Probe> Core<P> {
             free_pregs,
             preg_pred,
             preg_actual,
-            mem: MemoryHierarchy::new(cfg.mem)?,
+            mem,
             ports: LoadPorts::new(cfg.ports)?,
             pt,
             ctx,
@@ -577,31 +584,40 @@ impl<P: Probe> Core<P> {
         }
     }
 
-    /// Checkpoint-style functional-warmup transplant: adopts the donor's
-    /// *position-independent* warm structures — the memory hierarchy
-    /// (caches, TLBs, stream prefetcher, with in-flight MSHR fills
-    /// cleared), the hit/miss predictor, store sets, the L1 IP prefetcher
-    /// and gshare when both cores have them, and the branch path history.
-    /// Config-specific tables the donor does not model faithfully for this
-    /// core (PT, context, EVES/DLVP, criticality) start cold, and the RNG
-    /// stream is this core's own. Approximate by design — byte-identity is
-    /// the exact-fork path's job ([`WarmState::resume`]).
-    fn adopt_warm_structures<Q: Probe>(&mut self, donor: &Core<Q>) {
+    /// Checkpoint-style functional-warmup transplant: a fresh core for
+    /// `cfg` (which must share the donor's memory-hierarchy configuration)
+    /// built around the donor's *position-independent* warm structures —
+    /// the memory hierarchy (caches, TLBs, stream prefetcher, with
+    /// in-flight MSHR fills cleared), the hit/miss predictor, store sets,
+    /// the L1 IP prefetcher and gshare when both cores have them, and the
+    /// branch path history. Config-specific tables the donor does not
+    /// model faithfully for this core (PT, context, EVES/DLVP,
+    /// criticality) start cold, and the RNG stream is this core's own.
+    /// Approximate by design — byte-identity is the exact-fork path's job
+    /// ([`WarmState::resume`]).
+    fn transplanted<Q: Probe>(
+        cfg: CoreConfig,
+        probe: P,
+        donor: &Core<Q>,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         debug_assert_eq!(
-            self.cfg.mem, donor.cfg.mem,
+            cfg.mem, donor.cfg.mem,
             "transplant requires an identical memory hierarchy"
         );
-        self.mem = donor.mem.clone();
-        self.mem.clear_in_flight();
-        self.hit_miss = donor.hit_miss.clone();
-        self.store_sets = donor.store_sets.clone();
-        self.path = donor.path;
-        if let (Some(dst), Some(src)) = (self.ipp.as_mut(), donor.ipp.as_ref()) {
+        let mut mem = donor.mem.clone();
+        mem.clear_in_flight();
+        let mut core = Core::around(cfg, probe, mem)?;
+        core.hit_miss = donor.hit_miss.clone();
+        core.store_sets = donor.store_sets.clone();
+        core.path = donor.path;
+        if let (Some(dst), Some(src)) = (core.ipp.as_mut(), donor.ipp.as_ref()) {
             *dst = src.clone();
         }
-        if let (Some(dst), Some(src)) = (self.gshare.as_mut(), donor.gshare.as_ref()) {
+        if let (Some(dst), Some(src)) = (core.gshare.as_mut(), donor.gshare.as_ref()) {
             *dst = src.clone();
         }
+        Ok(core)
     }
 
     /// Approximate host-memory footprint of this core's state in bytes —
@@ -1016,14 +1032,12 @@ impl<P: Probe> Core<P> {
             if !head.done_by(self.cycle) {
                 break;
             }
-            let inst = self.rob.pop_front().expect("checked non-empty");
-            self.rob_base += 1;
             retired += 1;
-            if inst.uop.kind.is_load() && inst.rfp_fully_hid {
+            if head.uop.kind.is_load() && head.rfp_fully_hid {
                 rfp_hidden += 1;
             }
             self.last_retire_cycle = self.cycle;
-            self.retire_one(&inst);
+            self.retire_head();
             if !self.warmup_done && self.stats.retired_uops >= self.warmup_uops {
                 self.warmup_done = true;
                 // `total_retired_uops` tracks the whole run (it feeds the
@@ -1140,10 +1154,19 @@ impl<P: Probe> Core<P> {
         }
     }
 
-    fn retire_one(&mut self, inst: &DynInst) {
+    /// Retires the ROB head. Copies out only the fields retirement needs
+    /// and drops the entry in place: moving the whole [`DynInst`] out of
+    /// the ROB would copy all of it for every retired uop.
+    fn retire_head(&mut self) {
+        let head = self.rob.front().expect("retiring from an empty ROB");
+        let (seq, uop, prev_phys) = (head.seq, head.uop, head.prev_phys);
+        let (forwarded, ready_at_alloc) = (head.forwarded, head.ready_at_alloc);
+        let mispredicted = head.branch_mispredicted;
+        let dlvp_path = head.dlvp.map(|i| i.path).unwrap_or_default();
+        self.rob.pop_front();
+        self.rob_base += 1;
         self.stats.retired_uops += 1;
         self.stats.total_retired_uops += 1;
-        let uop = &inst.uop;
         match uop.kind {
             UopKind::Load => {
                 self.stats.retired_loads += 1;
@@ -1158,14 +1181,13 @@ impl<P: Probe> Core<P> {
                     e.train(uop.pc, uop.mem_ref().value);
                 }
                 if let Some(d) = self.dlvp.as_mut() {
-                    let path = inst.dlvp.map(|i| i.path).unwrap_or_default();
-                    d.train(uop.pc, path, addr);
-                    d.record_forwarding(uop.pc, inst.forwarded);
+                    d.train(uop.pc, dlvp_path, addr);
+                    d.record_forwarding(uop.pc, forwarded);
                 }
-                if inst.forwarded {
+                if forwarded {
                     self.stats.load_forwarded += 1;
                 }
-                if inst.ready_at_alloc {
+                if ready_at_alloc {
                     self.stats.loads_ready_at_alloc += 1;
                 }
                 // EPP: SSBF false positives force a re-execution at
@@ -1188,24 +1210,23 @@ impl<P: Probe> Core<P> {
                     .mem
                     .access_with(m.addr, self.cycle, true, &mut self.probe);
                 let oldest = self.sq.pop_front();
-                debug_assert_eq!(oldest, Some(inst.seq), "store queue out of order");
+                debug_assert_eq!(oldest, Some(seq), "store queue out of order");
             }
             UopKind::Branch { .. } => {
                 self.stats.retired_branches += 1;
-                self.stats.branch_mispredicts += inst.branch_mispredicted as u64;
+                self.stats.branch_mispredicts += mispredicted as u64;
             }
             _ => {}
         }
         if uop.kind.is_load() {
             let oldest = self.lq.pop_front();
-            debug_assert_eq!(oldest, Some(inst.seq), "load queue out of order");
+            debug_assert_eq!(oldest, Some(seq), "load queue out of order");
         }
         if P::ENABLED {
-            self.probe
-                .emit(self.cycle, ProbeEvent::Retire { seq: inst.seq });
+            self.probe.emit(self.cycle, ProbeEvent::Retire { seq });
         }
         // Free the previous mapping of the destination register.
-        if let Some(prev) = inst.prev_phys {
+        if let Some(prev) = prev_phys {
             self.unpublish(prev);
             self.free_pregs.push(prev);
         }
@@ -2444,7 +2465,7 @@ impl WarmState {
     /// a fresh core for `cfg` (which must share the donor's
     /// memory-hierarchy configuration), adopts the donor's
     /// position-independent warm structures (see
-    /// `Core::adopt_warm_structures`), then treats the first `warm_uops`
+    /// `Core::transplanted`), then treats the first `warm_uops`
     /// of `measured` as detailed warmup (re-filling the config-specific
     /// structures the donor leaves cold) before the stats reset. With
     /// `warm_uops == 0` every op of `measured` is measured. Approximate by
@@ -2476,8 +2497,7 @@ impl WarmState {
         warm_uops: u64,
         probe: Q,
     ) -> Result<(CoreStats, Q), ConfigError> {
-        let mut core = Core::with_probe(cfg.clone(), probe)?;
-        core.adopt_warm_structures(&self.core);
+        let core = Core::transplanted(cfg.clone(), probe, &self.core)?;
         Ok(core.run_with_warmup_probed(measured, warm_uops))
     }
 }

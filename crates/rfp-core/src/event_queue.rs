@@ -10,6 +10,11 @@
 //! spills into a small fallback heap and migrates into a bucket once its
 //! cycle comes within range.
 //!
+//! The horizon is always a power of two, so a cycle's bucket is
+//! `at & (horizon - 1)`: a mask, not a division by a runtime length.
+//! `push` and `pop_due` are `#[inline]`, so the core's event drain and its
+//! issue path run them in place rather than through a call per event.
+//!
 //! Ordering matches the `BinaryHeap` event queue it replaces exactly:
 //! earliest cycle first, FIFO among events scheduled for the same cycle —
 //! so swapping the implementations cannot perturb simulation results.
@@ -75,8 +80,9 @@ impl<T> PartialOrd for SpillEntry<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<T> {
-    /// Ring of per-cycle buckets; bucket `at % horizon` holds the events
-    /// for the next occurrence of that residue at or after `cursor`.
+    /// Ring of per-cycle buckets, a power of two long; bucket
+    /// `at & (horizon - 1)` holds the events for the next occurrence of
+    /// that residue at or after `cursor`.
     buckets: Vec<Vec<T>>,
     /// Read position within the bucket currently being drained (entries
     /// before it have been popped; the bucket is cleared when exhausted).
@@ -91,9 +97,9 @@ pub struct CalendarQueue<T> {
     len: usize,
 }
 
-/// Default bucket-ring span in cycles. Must comfortably exceed the
-/// longest event latency the core schedules (a DRAM round trip plus
-/// queueing, a few hundred cycles) so the spill heap stays cold.
+/// Default bucket-ring span in cycles, a power of two. Must comfortably
+/// exceed the longest event latency the core schedules (a DRAM round trip
+/// plus queueing, a few hundred cycles) so the spill heap stays cold.
 const DEFAULT_HORIZON: usize = 1024;
 
 impl<T> Default for CalendarQueue<T> {
@@ -108,13 +114,16 @@ impl<T> CalendarQueue<T> {
         Self::with_horizon(DEFAULT_HORIZON)
     }
 
-    /// Creates a queue whose bucket ring spans `horizon` cycles.
+    /// Creates a queue whose bucket ring spans `horizon` cycles, rounded
+    /// up to a power of two. Delivery order does not depend on the
+    /// horizon; only how often an event takes the spill heap does.
     ///
     /// # Panics
     ///
     /// Panics if `horizon` is zero.
     pub fn with_horizon(horizon: usize) -> Self {
         assert!(horizon > 0, "calendar queue needs at least one bucket");
+        let horizon = horizon.next_power_of_two();
         CalendarQueue {
             buckets: (0..horizon).map(|_| Vec::new()).collect(),
             bucket_pos: 0,
@@ -140,7 +149,7 @@ impl<T> CalendarQueue<T> {
     }
 
     fn bucket_index(&self, at: Cycle) -> usize {
-        (at % self.horizon()) as usize
+        at as usize & (self.buckets.len() - 1)
     }
 
     /// Schedules `item` at cycle `at`.
@@ -149,6 +158,7 @@ impl<T> CalendarQueue<T> {
     /// An `at` earlier than the drain cursor (the core never produces
     /// one: every event is scheduled strictly in the future) is clamped
     /// forward to the cursor so it still delivers.
+    #[inline]
     pub fn push(&mut self, at: Cycle, item: T) {
         debug_assert!(
             at >= self.cursor,
@@ -191,6 +201,7 @@ impl<T> CalendarQueue<T> {
 impl<T: Copy> CalendarQueue<T> {
     /// Delivers the next event scheduled at or before `now`, or `None`
     /// when nothing (further) is due yet.
+    #[inline]
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
         if self.len == 0 {
             // Fast-forward an empty queue so a long quiet stretch doesn't
@@ -255,8 +266,10 @@ mod codec_impls {
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             let buckets: Vec<Vec<T>> = Codec::decode(r)?;
-            if buckets.is_empty() {
-                return Err(CodecError::Invalid("calendar queue horizon"));
+            if !buckets.len().is_power_of_two() {
+                return Err(CodecError::Invalid(
+                    "calendar queue horizon is not a power of two",
+                ));
             }
             let bucket_pos: usize = Codec::decode(r)?;
             let entries: Vec<(u64, u64, T)> = Codec::decode(r)?;
@@ -356,7 +369,50 @@ mod tests {
     }
 
     #[test]
+    fn horizon_rounds_up_to_a_power_of_two() {
+        for (asked, got) in [(1, 1), (2, 2), (3, 4), (32, 32), (1000, 1024)] {
+            let q: CalendarQueue<u32> = CalendarQueue::with_horizon(asked);
+            assert_eq!(q.buckets.len(), got, "asked for {asked}");
+        }
+    }
+
+    /// The wire form of an empty queue with `buckets` empty buckets.
+    fn empty_queue_bytes(buckets: usize) -> Vec<u8> {
+        use rfp_types::codec::{ByteWriter, Codec};
+        let mut w = ByteWriter::new();
+        vec![Vec::<u32>::new(); buckets].encode(&mut w);
+        0usize.encode(&mut w); // bucket_pos
+        Vec::<(u64, u64, u32)>::new().encode(&mut w); // spill
+        0u64.encode(&mut w); // cursor
+        0u64.encode(&mut w); // order
+        0usize.encode(&mut w); // len
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_a_horizon_that_is_not_a_power_of_two() {
+        use rfp_types::codec::{decode_from_slice, encode_to_vec, CodecError};
+        for buckets in [0, 3, 1000] {
+            assert_eq!(
+                decode_from_slice::<CalendarQueue<u32>>(&empty_queue_bytes(buckets)).err(),
+                Some(CodecError::Invalid(
+                    "calendar queue horizon is not a power of two"
+                )),
+                "{buckets} buckets"
+            );
+        }
+        let q: CalendarQueue<u32> = decode_from_slice(&empty_queue_bytes(4)).expect("decodes");
+        assert_eq!(encode_to_vec(&q), empty_queue_bytes(4));
+    }
+
+    #[test]
     fn matches_reference_heap_on_mixed_workload() {
+        for horizon in [1, 2, 32, 1024] {
+            matches_reference_heap(horizon);
+        }
+    }
+
+    fn matches_reference_heap(horizon: usize) {
         // Reference: (at, order)-sorted pops from a BinaryHeap, exactly
         // the structure the core used to use.
         #[derive(PartialEq, Eq)]
@@ -377,7 +433,7 @@ mod tests {
         }
 
         let mut heap = BinaryHeap::new();
-        let mut q = CalendarQueue::with_horizon(32);
+        let mut q = CalendarQueue::with_horizon(horizon);
         let mut order = 0u64;
         // Deterministic pseudo-random schedule: bursty pushes with
         // latencies straddling the horizon, drained cycle by cycle.
@@ -391,7 +447,7 @@ mod tests {
         let mut item = 0u32;
         for now in 0..600u64 {
             for _ in 0..(rng() % 4) {
-                let delta = 1 + rng() % 90; // up to ~3x the horizon
+                let delta = 1 + rng() % 90; // up to ~3x a 32-cycle horizon
                 order += 1;
                 item += 1;
                 heap.push(Ref {
@@ -409,7 +465,7 @@ mod tests {
                     None
                 };
                 let got = q.pop_due(now);
-                assert_eq!(got, expect, "diverged at cycle {now}");
+                assert_eq!(got, expect, "horizon {horizon}: diverged at cycle {now}");
                 if got.is_none() {
                     break;
                 }

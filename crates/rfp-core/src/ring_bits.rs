@@ -7,6 +7,10 @@
 //! seq and length and report *offsets* from that seq, which are also the
 //! instructions' ROB indices. The ring is at least one 64-bit word, so no
 //! word straddles the ring's end.
+//!
+//! Select walks [`RingBits::ones`] every cycle, so the iterator's `next`
+//! and the word fetch under it are `#[inline]`: the walk compiles into the
+//! issue loop instead of making a call per set bit and per word.
 
 /// Number of slots in the ring for a window of `rob_entries`: the next
 /// power of two, and at least 64.
@@ -66,6 +70,7 @@ impl RingBits {
     /// The bits of seqs `first + off ..` up to the end of `off`'s word or
     /// `len`, whichever is first, shifted so bit 0 is `off`; and how many
     /// offsets that chunk covers.
+    #[inline]
     fn chunk(&self, first: u64, off: usize, len: usize) -> (u64, usize) {
         let slot = (first as usize).wrapping_add(off) & self.mask();
         let bit = slot % 64;
@@ -129,6 +134,7 @@ pub(crate) struct Ones<'a> {
 impl Iterator for Ones<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.word == 0 {
             if self.next >= self.len {

@@ -12,7 +12,8 @@
 //! way's stamp is at least 1 and at most the store's `stamp`, which counts
 //! every access and fill. Replacement is exact LRU: the victim is the
 //! first way with the smallest stamp, so the first invalid way when there
-//! is one.
+//! is one. A fill scans its set once, tracking that victim as it looks
+//! for the key, and stops early only when the key is already present.
 
 use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 
@@ -79,20 +80,24 @@ impl TagStore {
     pub(crate) fn fill(&mut self, key: u64) -> Option<u64> {
         let row = self.row(key);
         self.stamp += 1;
-        if let Some(i) = self.find(row, key) {
-            self.lru[i] = self.stamp;
-            return None;
-        }
-        let lru = &self.lru[row..row + self.ways];
+        // One scan finds the key or, failing that, the victim: the first
+        // way with the smallest stamp (strict `<` keeps the earliest).
+        let now = self.stamp;
+        let keys = &self.keys[row..row + self.ways];
+        let lru = &mut self.lru[row..row + self.ways];
         let mut victim = 0;
-        for (i, &stamp) in lru.iter().enumerate().skip(1) {
-            if stamp < lru[victim] {
+        for (i, &k) in keys.iter().enumerate() {
+            if k == key {
+                lru[i] = now;
+                return None;
+            }
+            if lru[i] < lru[victim] {
                 victim = i;
             }
         }
         let slot = row + victim;
         let evicted = std::mem::replace(&mut self.keys[slot], key);
-        self.lru[slot] = self.stamp;
+        self.lru[slot] = now;
         debug_assert_eq!(
             self.check_set(row / self.ways, &mut Vec::with_capacity(self.ways)),
             Ok(()),

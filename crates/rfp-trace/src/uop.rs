@@ -208,6 +208,7 @@ impl MicroOp {
     /// # Panics
     ///
     /// Panics if the micro-op is not a load or store.
+    #[inline]
     pub fn mem_ref(&self) -> MemRef {
         self.mem.expect("mem_ref() called on a non-memory micro-op")
     }

@@ -12,7 +12,8 @@ use rfp::core::{
     WarmState,
 };
 use rfp::predictors::{DlvpConfig, ValuePredictorConfig};
-use rfp::stats::SimReport;
+use rfp::stats::{CoreStats, SimReport};
+use rfp::trace::MicroOp;
 use rfp::types::codec::{decode_from_slice, encode_to_vec};
 use rfp::types::fnv1a_64;
 
@@ -296,4 +297,51 @@ fn decoded_warm_snapshot_resumes_to_the_pinned_report() {
             digest(&report)
         );
     }
+}
+
+/// Warms `donor` over `LEN / 2` ops of `workload`, then measures the
+/// interior window `[start, start + LEN / 4)` after a warm prefix of
+/// `PREFIX` ops, the way the phase sampler does.
+fn sampled_window(
+    workload: &str,
+    donor: &str,
+    run: impl FnOnce(&WarmState, Vec<MicroOp>, u64) -> CoreStats,
+) -> SimReport {
+    const PREFIX: u64 = 2_048;
+    let w = rfp::trace::by_name(workload).expect("in the suite");
+    let warmup = LEN / 2;
+    let trace: Vec<MicroOp> = w.trace(LEN + warmup).collect();
+    let warm = warm_up_workload(&config(donor), &w, warmup, trace.iter().copied()).expect("valid");
+    let start = warmup + LEN / 2;
+    let window = trace[(start - PREFIX) as usize..(start + LEN / 4) as usize].to_vec();
+    report_for(&w, run(&warm, window, PREFIX))
+}
+
+/// The phase sampler's two window paths: a fork of the config's own
+/// snapshot (`resume_window`) and a transplant of another config's warm
+/// structures into a fresh core (`transplant_window`).
+#[test]
+fn sampled_windows_are_pinned() {
+    let resumed = sampled_window("spec06_mcf", "rfp", |warm, window, prefix| {
+        warm.resume_window(window, prefix)
+    });
+    let transplanted = sampled_window("spark", "baseline", |warm, window, prefix| {
+        warm.transplant_window(&config("vp_rfp"), window, prefix)
+            .expect("valid")
+    });
+    for report in [&resumed, &transplanted] {
+        assert_eq!(
+            report.stats.retired_uops,
+            LEN / 4,
+            "the window alone is measured"
+        );
+    }
+    let actual = [digest(&resumed), digest(&transplanted)];
+    assert_eq!(
+        actual,
+        [0x0273ce3682602a58, 0x75f3559b80ab9743],
+        "sampled windows diverged; they give [0x{:016x}, 0x{:016x}]",
+        actual[0],
+        actual[1]
+    );
 }

@@ -25,7 +25,7 @@
 //! and verified on read, so a digest collision degrades to a miss rather
 //! than serving the wrong payload. The wire format is the workspace's
 //! own versioned codec (magic, schema version, tier byte, key, payload,
-//! FNV-1a content checksum) — no serde, the build is offline.
+//! word-wise FNV-1a content checksum) — no serde, the build is offline.
 //!
 //! The store is strictly an *optimization layer*: any short read, bad
 //! magic, version skew, key mismatch, checksum failure or decode error
@@ -42,17 +42,18 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use rfp_types::codec::{ByteReader, ByteWriter, Codec};
-use rfp_types::{fnv1a_64, Fnv1a};
+use rfp_types::{fnv1a_64, FNV1A_OFFSET, FNV1A_PRIME};
 
 use crate::engine::{SimMode, WarmMode};
 
 /// Magic prefix of every store entry.
 const MAGIC: &[u8; 8] = b"RFPSTORE";
 
-/// Store schema version. Bump whenever the wire format of any persisted
-/// payload changes (a codec layout change in any crate counts): old
-/// entries then read as misses and are overwritten by fresh results.
-pub const STORE_SCHEMA_VERSION: u32 = 1;
+/// Store schema version. Bump whenever the envelope or the wire format
+/// of any persisted payload changes (a codec layout change in any crate
+/// counts): old entries then read as misses and are overwritten by fresh
+/// results. Schema 2 seals entries with the word-wise `entry_checksum`.
+pub const STORE_SCHEMA_VERSION: u32 = 2;
 
 /// The four content tiers of an [`ExpStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,14 +238,15 @@ impl ExpStore {
         w.put_bytes(MAGIC);
         STORE_SCHEMA_VERSION.encode(&mut w);
         w.put_u8(tier.tag());
-        key.to_string().encode(&mut w);
-        let mut payload = ByteWriter::new();
-        value.encode(&mut payload);
-        let payload = payload.into_bytes();
-        payload.encode_len_prefixed(&mut w);
-        let mut sum = Fnv1a::new();
-        sum.update(w.as_bytes());
-        w.put_u64(sum.finish());
+        w.put_u64(key.len() as u64);
+        w.put_bytes(key.as_bytes());
+        // The payload is encoded in place behind its length word, which
+        // is filled in once the payload's size is known.
+        let len_at = w.len();
+        w.put_u64(0);
+        value.encode(&mut w);
+        w.patch_u64(len_at, (w.len() - len_at - 8) as u64);
+        w.put_u64(entry_checksum(w.as_bytes()));
         let bytes = w.into_bytes();
         let path = self.entry_path(tier, key);
         let tmp = path.with_extension(format!(
@@ -407,21 +409,6 @@ impl ExpStore {
     }
 }
 
-/// Length-prefixed raw-bytes helper for the entry payload (the payload
-/// is opaque at the container layer; `Vec<u8>: Codec` would encode each
-/// byte through the element codec, which happens to be identical, but
-/// spelling it out keeps the container format self-evident).
-trait PutLenPrefixed {
-    fn encode_len_prefixed(&self, w: &mut ByteWriter);
-}
-
-impl PutLenPrefixed for Vec<u8> {
-    fn encode_len_prefixed(&self, w: &mut ByteWriter) {
-        w.put_u64(self.len() as u64);
-        w.put_bytes(self);
-    }
-}
-
 /// Outcome of verifying one on-disk entry against a lookup key.
 enum Decoded<T> {
     /// Verified, decoded, and keyed to this lookup.
@@ -433,45 +420,55 @@ enum Decoded<T> {
     Corrupt,
 }
 
+/// The entry's content checksum: FNV-1a's step `h = (h ^ w) * prime`
+/// over `body` read as little-endian 8-byte words, then over the bytes
+/// after the last whole word one at a time. The prime is odd, so for a
+/// fixed `h` each step is a bijection of `w` and for a fixed `w` one of
+/// `h`: a change confined to one word always changes the sum. A change
+/// of length is caught before the sum, by [`open_envelope`].
+fn entry_checksum(body: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV1A_PRIME);
+    let words = body.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(FNV1A_OFFSET, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    tail.iter().fold(h, |h, &b| step(h, u64::from(b)))
+}
+
+/// Parses an entry's envelope — magic, schema version, tier tag, stored
+/// key and payload length — and returns `(stored key, payload)`. Checks
+/// run in this order: the header fields, then that the buffer is exactly
+/// header + payload + checksum long, then the checksum. `None` on any
+/// failure. Callers compare the stored key only after this returns, so a
+/// damaged key byte fails the checksum and never reads as someone else's
+/// entry.
+fn open_envelope(bytes: &[u8], tier: Tier) -> Option<(&[u8], &[u8])> {
+    let mut r = ByteReader::new(bytes);
+    if r.take(MAGIC.len()).ok()? != MAGIC
+        || r.get_u32().ok()? != STORE_SCHEMA_VERSION
+        || r.get_u8().ok()? != tier.tag()
+    {
+        return None;
+    }
+    let key_len = r.get_len().ok()?;
+    let key = r.take(key_len).ok()?;
+    let payload_len = usize::try_from(r.get_u64().ok()?).ok()?;
+    if payload_len.checked_add(8)? != r.remaining() {
+        return None;
+    }
+    let payload = r.take(payload_len).ok()?;
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    (sum == entry_checksum(body).to_le_bytes()).then_some((key, payload))
+}
+
 /// Verifies and decodes one entry.
 fn decode_entry<T: Codec>(bytes: &[u8], tier: Tier, key: &str) -> Decoded<T> {
-    // Checksum first: the trailing 8 bytes must equal the FNV-1a of
-    // everything before them, so any single corrupt byte is caught before
-    // the structured parse even starts.
-    if bytes.len() < MAGIC.len() + 8 {
-        return Decoded::Corrupt;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut sum = Fnv1a::new();
-    sum.update(body);
-    if tail != sum.finish().to_le_bytes() {
-        return Decoded::Corrupt;
-    }
-    let mut r = ByteReader::new(body);
-    if r.take(MAGIC.len()).ok() != Some(MAGIC) {
-        return Decoded::Corrupt;
-    }
-    if u32::decode(&mut r).ok() != Some(STORE_SCHEMA_VERSION) {
-        return Decoded::Corrupt;
-    }
-    if r.get_u8().ok() != Some(tier.tag()) {
-        return Decoded::Corrupt;
-    }
-    match String::decode(&mut r) {
-        Ok(stored) if stored == key => {}
-        Ok(_) => return Decoded::Foreign,
-        Err(_) => return Decoded::Corrupt,
-    }
-    let Some(payload) = r
-        .get_u64()
-        .ok()
-        .and_then(|n| usize::try_from(n).ok())
-        .and_then(|n| r.take(n).ok())
-    else {
+    let Some((stored, payload)) = open_envelope(bytes, tier) else {
         return Decoded::Corrupt;
     };
-    if !r.is_empty() {
-        return Decoded::Corrupt;
+    if stored != key.as_bytes() {
+        return Decoded::Foreign;
     }
     match rfp_types::codec::decode_from_slice(payload) {
         Ok(v) => Decoded::Value(v),
@@ -486,34 +483,8 @@ fn decode_entry<T: Codec>(bytes: &[u8], tier: Tier, key: &str) -> Decoded<T> {
 /// is returned alongside the payload. `None` on any verification or
 /// decode failure (the caller skips the entry).
 pub(crate) fn decode_entry_unkeyed<T: Codec>(bytes: &[u8], tier: Tier) -> Option<(String, T)> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut sum = Fnv1a::new();
-    sum.update(body);
-    if tail != sum.finish().to_le_bytes() {
-        return None;
-    }
-    let mut r = ByteReader::new(body);
-    if r.take(MAGIC.len()).ok() != Some(MAGIC) {
-        return None;
-    }
-    if u32::decode(&mut r).ok() != Some(STORE_SCHEMA_VERSION) {
-        return None;
-    }
-    if r.get_u8().ok() != Some(tier.tag()) {
-        return None;
-    }
-    let key = String::decode(&mut r).ok()?;
-    let payload = r
-        .get_u64()
-        .ok()
-        .and_then(|n| usize::try_from(n).ok())
-        .and_then(|n| r.take(n).ok())?;
-    if !r.is_empty() {
-        return None;
-    }
+    let (key, payload) = open_envelope(bytes, tier)?;
+    let key = String::from_utf8(key.to_vec()).ok()?;
     rfp_types::codec::decode_from_slice(payload)
         .ok()
         .map(|v| (key, v))
@@ -589,6 +560,7 @@ pub fn render_store_stats(store: &ExpStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A scratch store rooted in a unique temp directory, removed on
     /// drop (the workspace has no tempfile crate — offline build).
@@ -702,6 +674,82 @@ mod tests {
     }
 
     #[test]
+    fn a_buffer_of_the_wrong_length_is_corrupt() {
+        let s = Scratch::new("length");
+        let store = &s.0;
+        let value: Vec<u64> = (0..64).collect();
+        store.put(Tier::Warm, "k", &value);
+        let path = store.entry_path(Tier::Warm, "k");
+        let pristine = std::fs::read(&path).expect("entry");
+        // Magic, version, tier, key length, key, payload length.
+        let header = 8 + 4 + 1 + 8 + 1 + 8;
+        let payload = (header + 1..pristine.len()).step_by(37);
+        let mut bad = 0;
+        for cut in (0..=header).chain(payload) {
+            std::fs::write(&path, &pristine[..cut]).expect("truncate");
+            assert!(
+                store.get::<Vec<u64>>(Tier::Warm, "k").is_none(),
+                "truncated to {cut} bytes must miss"
+            );
+            bad += 1;
+        }
+        let mut longer = pristine.clone();
+        longer.push(0);
+        std::fs::write(&path, &longer).expect("extend");
+        assert!(store.get::<Vec<u64>>(Tier::Warm, "k").is_none());
+        bad += 1;
+        let st = store.stats();
+        assert_eq!(
+            (st.corrupt, st.hits),
+            (bad, 0),
+            "every cut counted as corrupt"
+        );
+    }
+
+    #[test]
+    fn a_damaged_key_is_corrupt_not_foreign() {
+        let s = Scratch::new("key-flip");
+        let store = &s.0;
+        store.put(Tier::Result, "key", &1u64);
+        let path = store.entry_path(Tier::Result, "key");
+        let mut bytes = std::fs::read(&path).expect("entry");
+        // The key's first byte follows magic, version, tier and length.
+        bytes[8 + 4 + 1 + 8] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("flip");
+        assert!(store.get::<u64>(Tier::Result, "key").is_none());
+        assert_eq!(store.stats().corrupt, 1);
+    }
+
+    #[test]
+    fn entry_checksum_is_pinned() {
+        assert_eq!(entry_checksum(b""), FNV1A_OFFSET);
+        // One word of zeros steps like one zero byte of FNV-1a.
+        assert_eq!(entry_checksum(&[0; 8]), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(entry_checksum(&[0; 8]), fnv1a_64(&[0]));
+        // One whole word, then five tail bytes.
+        assert_eq!(entry_checksum(b"hello, world!"), 0x160d_b91c_522a_c6a5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Bodies of 0 to 199 bytes: most end in a partial word, so the
+        /// byte-wise tail is flipped as well as whole words.
+        #[test]
+        fn entry_checksum_catches_every_single_bit_flip(
+            body in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let sum = entry_checksum(&body);
+            let mut flipped = body.clone();
+            for bit in 0..body.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(entry_checksum(&flipped) != sum, "bit {} of {} bytes", bit, body.len());
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
     fn version_skew_reads_as_a_miss() {
         let s = Scratch::new("version");
         let store = &s.0;
@@ -714,9 +762,7 @@ mod tests {
         let v = STORE_SCHEMA_VERSION + 1;
         bytes[8..12].copy_from_slice(&v.to_le_bytes());
         let split = bytes.len() - 8;
-        let mut sum = Fnv1a::new();
-        sum.update(&bytes[..split]);
-        let tail = sum.finish().to_le_bytes();
+        let tail = entry_checksum(&bytes[..split]).to_le_bytes();
         bytes[split..].copy_from_slice(&tail);
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(store.get::<u64>(Tier::Result, "k").is_none());
@@ -837,7 +883,7 @@ mod tests {
         // mode exactly as those entries were keyed.
         let cfg = rfp_core::CoreConfig::tiger_lake();
         let key = |sim, warm| result_key(2000, 1000, sim, warm, false, "w", &cfg);
-        let prefix = "result|schema=1|measured=2000|warmup=1000|interval=8192";
+        let prefix = "result|schema=2|measured=2000|warmup=1000|interval=8192";
         assert_eq!(
             key(SimMode::Full, WarmMode::Exact),
             format!("{prefix}|sim=full|warm=exact|obs=0|workload=w|cfg={cfg:?}")

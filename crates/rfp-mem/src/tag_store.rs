@@ -15,7 +15,7 @@
 //! is one. A fill scans its set once, tracking that victim as it looks
 //! for the key, and stops early only when the key is already present.
 
-use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
+use rfp_types::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Key of an invalid way.
 const INVALID: u64 = u64::MAX;
@@ -165,74 +165,72 @@ impl TagStore {
 
     /// Writes the ways in the encoding of a `Vec<Vec<{tag, valid, lru}>>`
     /// (an invalid way as `(0, false, 0)`), then the stamp. Warm snapshots
-    /// stored before the arrays were flat decode unchanged.
+    /// stored before the arrays were flat decode unchanged. Each set's
+    /// row is built in one scratch buffer and appended whole.
     pub(crate) fn encode(&self, w: &mut ByteWriter, tag: WireTag) {
         w.put_u64(self.sets as u64);
+        let mut row = vec![0u8; 8 + self.ways * WAY_BYTES];
+        row[..8].copy_from_slice(&(self.ways as u64).to_le_bytes());
         let rows = self
             .keys
             .chunks_exact(self.ways)
             .zip(self.lru.chunks_exact(self.ways));
         for (keys, lru) in rows {
-            w.put_u64(self.ways as u64);
-            for (&key, &lru) in keys.iter().zip(lru) {
-                if key == INVALID {
-                    w.put_u64(0);
-                    w.put_u8(0);
-                    w.put_u64(0);
-                } else {
-                    w.put_u64(match tag {
-                        WireTag::Key => key,
-                        WireTag::Quotient => key / self.sets as u64,
-                    });
-                    w.put_u8(1);
-                    w.put_u64(lru);
-                }
+            for ((way, &key), &lru) in row[8..].chunks_exact_mut(WAY_BYTES).zip(keys).zip(lru) {
+                let (wire, valid, lru) = match (key, tag) {
+                    (INVALID, _) => (0, 0, 0),
+                    (_, WireTag::Key) => (key, 1, lru),
+                    (_, WireTag::Quotient) => (key / self.sets as u64, 1, lru),
+                };
+                way[..8].copy_from_slice(&wire.to_le_bytes());
+                way[8] = valid;
+                way[9..].copy_from_slice(&lru.to_le_bytes());
             }
+            w.put_bytes(&row);
         }
         w.put_u64(self.stamp);
     }
 
     /// Reads what [`TagStore::encode`] wrote for a `sets × ways` store
-    /// (both already validated nonzero). The byte count is checked before
-    /// anything is allocated, and every way state the store cannot reach
-    /// is rejected.
+    /// (both already validated nonzero). The whole encoding is taken in
+    /// one bounds check before anything is allocated, then parsed set by
+    /// set; every way state the store cannot reach is rejected.
     pub(crate) fn decode(
         r: &mut ByteReader<'_>,
         sets: usize,
         ways: usize,
         tag: WireTag,
     ) -> Result<Self, CodecError> {
-        let wanted = ways
+        let row_bytes = ways
             .checked_mul(WAY_BYTES)
             .and_then(|row| row.checked_add(8))
-            .and_then(|row| row.checked_mul(sets))
+            .ok_or(CodecError::Invalid("tag store size overflows usize"))?;
+        let wanted = row_bytes
+            .checked_mul(sets)
             .and_then(|rows| rows.checked_add(16))
             .ok_or(CodecError::Invalid("tag store size overflows usize"))?;
-        if r.remaining() < wanted {
-            return Err(CodecError::ShortRead {
-                wanted,
-                available: r.remaining(),
-            });
-        }
-        if r.get_u64()? != sets as u64 {
+        let bytes = r.take(wanted)?;
+        let (head, rest) = bytes.split_at(8);
+        let (rows, stamp) = rest.split_at(rest.len() - 8);
+        if le_u64(head) != sets as u64 {
             return Err(CodecError::Invalid("tag store set shape"));
         }
         let mut store = TagStore::new(sets, ways);
-        for set in 0..sets {
-            if r.get_u64()? != ways as u64 {
+        for (set, row) in rows.chunks_exact(row_bytes).enumerate() {
+            if le_u64(&row[..8]) != ways as u64 {
                 return Err(CodecError::Invalid("tag store set shape"));
             }
-            for slot in set * ways..(set + 1) * ways {
-                let wire = r.get_u64()?;
-                let valid = bool::decode(r)?;
-                let lru = r.get_u64()?;
-                if !valid {
-                    if wire != 0 || lru != 0 {
+            for (slot, way) in (set * ways..).zip(row[8..].chunks_exact(WAY_BYTES)) {
+                let (wire, lru) = (le_u64(&way[..8]), le_u64(&way[9..]));
+                match way[8] {
+                    0 if wire != 0 || lru != 0 => {
                         return Err(CodecError::Invalid(
                             "tag store: invalid way with a nonzero tag or lru",
-                        ));
+                        ))
                     }
-                    continue;
+                    0 => continue,
+                    1 => {}
+                    _ => return Err(CodecError::Invalid("bool")),
                 }
                 let key = match tag {
                     WireTag::Key => wire,
@@ -250,7 +248,7 @@ impl TagStore {
                 store.lru[slot] = lru;
             }
         }
-        store.stamp = r.get_u64()?;
+        store.stamp = le_u64(stamp);
         let mut scratch = Vec::with_capacity(ways);
         for set in 0..sets {
             store
@@ -259,6 +257,11 @@ impl TagStore {
         }
         Ok(store)
     }
+}
+
+/// Reads an 8-byte little-endian word from a slice of exactly 8 bytes.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
 }
 
 #[cfg(test)]

@@ -136,6 +136,16 @@ impl ByteWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Overwrites the 8 bytes at `at` with `v` little-endian: fills in a
+    /// length that is only known once the bytes after it are written.
+    ///
+    /// # Panics
+    ///
+    /// If `at + 8` exceeds the bytes written so far.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// A bounds-checked little-endian byte cursor over a borrowed slice.
@@ -621,6 +631,20 @@ mod tests {
         bytes.push(0);
         let r: Result<u32, _> = decode_from_slice(&bytes);
         assert_eq!(r, Err(CodecError::Trailing(1)));
+    }
+
+    #[test]
+    fn patch_u64_overwrites_in_place() {
+        let mut w = ByteWriter::new();
+        w.put_u8(0xaa);
+        w.put_u64(0);
+        w.put_u8(0xbb);
+        w.patch_u64(1, 0x0102_0304_0506_0708);
+        let mut expected = ByteWriter::new();
+        expected.put_u8(0xaa);
+        expected.put_u64(0x0102_0304_0506_0708);
+        expected.put_u8(0xbb);
+        assert_eq!(w.as_bytes(), expected.as_bytes());
     }
 
     #[test]

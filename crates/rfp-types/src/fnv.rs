@@ -1,22 +1,21 @@
 //! FNV-1a 64-bit hashing.
 //!
 //! One implementation shared by every consumer in the workspace: the
-//! experiment engine's config/warm keys and the on-disk store's entry
-//! digests and content checksums. FNV-1a is not cryptographic — collision
-//! resistance comes from callers storing the full canonical key next to the
-//! digest and verifying it on read — but it is fast, allocation-free and
-//! trivially reproducible across platforms.
+//! experiment engine's config/warm keys, the on-disk store's entry
+//! digests and the benchmark's output digest. The store's content
+//! checksum runs the same step over 8-byte words instead of bytes, with
+//! [`FNV1A_OFFSET`] and [`FNV1A_PRIME`]. FNV-1a is not cryptographic —
+//! collision resistance comes from callers storing the full canonical
+//! key next to the digest and verifying it on read — but it is fast,
+//! allocation-free and trivially reproducible across platforms.
 //!
 //! # Examples
 //!
 //! ```
-//! use rfp_types::{fnv1a_64, Fnv1a};
+//! use rfp_types::fnv1a_64;
 //!
 //! assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
-//! let mut h = Fnv1a::new();
-//! h.update(b"foo");
-//! h.update(b"bar");
-//! assert_eq!(h.finish(), fnv1a_64(b"foobar"));
+//! assert_ne!(fnv1a_64(b"foo"), fnv1a_64(b"bar"));
 //! ```
 
 /// FNV-1a 64-bit offset basis.
@@ -24,52 +23,11 @@ pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A streaming FNV-1a 64-bit hasher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    /// Creates a hasher at the offset basis.
-    pub const fn new() -> Self {
-        Fnv1a {
-            state: FNV1A_OFFSET,
-        }
-    }
-
-    /// Absorbs `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.state;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV1A_PRIME);
-        }
-        self.state = h;
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// Returns the current hash value.
-    pub const fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-/// Hashes `bytes` with FNV-1a 64 in one call.
+/// Hashes `bytes` with FNV-1a 64.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
+    bytes.iter().fold(FNV1A_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME)
+    })
 }
 
 #[cfg(test)]
@@ -85,23 +43,5 @@ mod tests {
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"b"), 0xaf63_df4c_8601_f1a5);
         assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let mut h = Fnv1a::new();
-        for chunk in [b"fo".as_slice(), b"ob", b"ar"] {
-            h.update(chunk);
-        }
-        assert_eq!(h.finish(), fnv1a_64(b"foobar"));
-    }
-
-    #[test]
-    fn update_u64_is_little_endian_bytes() {
-        let mut a = Fnv1a::new();
-        a.update_u64(0x0102_0304_0506_0708);
-        let mut b = Fnv1a::new();
-        b.update(&[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
-        assert_eq!(a.finish(), b.finish());
     }
 }

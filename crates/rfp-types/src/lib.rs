@@ -29,7 +29,7 @@ mod ids;
 
 pub use addr::{Addr, CACHE_LINE_BYTES, CACHE_LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT};
 pub use error::ConfigError;
-pub use fnv::{fnv1a_64, Fnv1a, FNV1A_OFFSET, FNV1A_PRIME};
+pub use fnv::{fnv1a_64, FNV1A_OFFSET, FNV1A_PRIME};
 pub use ids::{ArchReg, Pc, PhysReg, SeqNum};
 
 /// A simulated clock cycle count.

@@ -28,46 +28,19 @@
 use std::sync::Arc;
 
 use rfp_bench::{
-    metrics_reports_json, profile_reports_json, run_grid, telemetry_jsonl, trace_workload_json,
-    write_engine_trace, NonEmptyPath, RunEnv, WarmPool,
+    die, metrics_reports_json, profile_reports_json, run_grid, take_count, take_flag,
+    telemetry_jsonl, trace_workload_json, write_engine_trace, write_or_die, NonEmptyPath, RunEnv,
+    WarmPool,
 };
 use rfp_core::{CoreConfig, OracleMode};
 use rfp_obs::EngineTracer;
 use rfp_stats::{geomean_speedup, mean_frac};
 
-/// Prints `error: {msg}` and exits 2 — configuration and I/O problems
-/// are usage errors here, not bugs worth a backtrace.
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// Removes `--flag value` from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 fn main() {
     let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
     let store = env.open_stores().unwrap_or_else(|e| die(e)).store;
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = env.threads;
-    if let Some(v) = take_flag(&mut args, "--threads") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => threads = n,
-            _ => {
-                eprintln!("--threads needs a positive integer, got {v}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let threads = take_count(&mut args, "--threads").unwrap_or(env.threads);
     let trace_out = take_flag(&mut args, "--trace-out");
     let trace_workload =
         take_flag(&mut args, "--trace-workload").unwrap_or_else(|| "spec17_mcf".to_string());
@@ -133,11 +106,6 @@ fn main() {
         t0.elapsed().as_secs_f32()
     );
 
-    // I/O failures on side outputs are usage errors (bad path, full
-    // disk), not bugs — report the file and exit 2 instead of panicking.
-    let write_or_die = |path: &str, contents: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
-    };
     if let Some(file) = &metrics_out {
         write_or_die(file, &metrics_reports_json(&rfp_cfg, len, &rfp));
         eprintln!("wrote metrics histograms to {file}");
@@ -147,10 +115,8 @@ fn main() {
         eprintln!("wrote per-load-PC profile to {file}");
     }
     if let Some(dir) = &trace_out {
-        let w = rfp_trace::by_name(&trace_workload).unwrap_or_else(|| {
-            eprintln!("unknown --trace-workload '{trace_workload}'");
-            std::process::exit(2);
-        });
+        let w = rfp_trace::by_name(&trace_workload)
+            .unwrap_or_else(|| die(format!("unknown --trace-workload '{trace_workload}'")));
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
         write_or_die(&path, &trace_workload_json(&rfp_cfg, &w, len));

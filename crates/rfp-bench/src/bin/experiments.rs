@@ -78,11 +78,12 @@
 use std::sync::Arc;
 
 use rfp_bench::{
-    diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
-    render_history_list, render_history_show, render_report, render_store_stats,
-    sampling_error_report_json, telemetry_jsonl, trace_workload_json, trend_rows,
-    write_engine_trace, EnvStores, ExpStore, Harness, HistoryLedger, NonEmptyPath, ReportInputs,
-    RunEnv, RunRecord, WarmPool, DEFAULT_TRACE_LEN, KNOBS,
+    die, diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
+    read_or_die, render_history_list, render_history_show, render_report, render_store_stats,
+    sampling_error_report_json, take_bare, take_count, take_flag, telemetry_jsonl,
+    trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores, ExpStore,
+    Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
+    DEFAULT_TRACE_LEN, KNOBS,
 };
 use rfp_core::{CoreConfig, OracleMode};
 use rfp_obs::EngineTracer;
@@ -231,46 +232,6 @@ fn usage() -> String {
     out
 }
 
-/// Prints `error: {msg}` and exits 2 — configuration and I/O problems
-/// are usage errors here, not bugs worth a backtrace.
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// Reads a file or exits with code 2 and a contextual message.
-fn read_or_die(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("read {path}: {e}")))
-}
-
-/// Writes a file or exits with code 2 and a contextual message.
-fn write_or_die(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
-}
-
-/// Removes `--flag value` from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-/// Removes a bare `--flag` (no value) from `args`, returning whether it
-/// was present.
-fn take_bare(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
-
 /// Opens the store rooted at `dir`, or exits 2 naming `origin`.
 fn open_store(dir: &std::path::Path, origin: &str) -> Arc<ExpStore> {
     ExpStore::open_named(dir, origin).unwrap_or_else(|e| die(e))
@@ -317,11 +278,10 @@ fn resolve_history(
 
 /// Exits 2 with the shared "no ledger" message.
 fn no_ledger_configured() -> ! {
-    eprintln!(
-        "error: no run-history ledger configured (set RFP_HISTORY or pass --history DIR; \
-         a persistent store root also works — the ledger is its history/ tier)"
-    );
-    std::process::exit(2);
+    die(
+        "no run-history ledger configured (set RFP_HISTORY or pass --history DIR; \
+         a persistent store root also works — the ledger is its history/ tier)",
+    )
 }
 
 fn main() {
@@ -339,7 +299,7 @@ fn main() {
             eprintln!(
                 "usage: experiments report --report-out FILE [--metrics F] [--profile F] \
                  [--sampling-report F] [--sampling-error F] [--engine-trace F] \
-                 [--telemetry F] [--bench F] [--history F]"
+                 [--telemetry F] [--history F]"
             );
             std::process::exit(2);
         });
@@ -353,12 +313,10 @@ fn main() {
             sampling_error: take_flag(&mut args, "--sampling-error").map(|p| read_or_die(&p)),
             engine_trace: take_flag(&mut args, "--engine-trace").map(|p| read_or_die(&p)),
             telemetry: take_flag(&mut args, "--telemetry").map(|p| read_or_die(&p)),
-            bench: take_flag(&mut args, "--bench").map(|p| read_or_die(&p)),
             history: take_flag(&mut args, "--history").map(|p| read_or_die(&p)),
         };
         if args.len() != 1 {
-            eprintln!("error: unexpected report argument(s): {:?}", &args[1..]);
-            std::process::exit(2);
+            die(format!("unexpected report argument(s): {:?}", &args[1..]));
         }
         match render_report(&inputs) {
             Err(e) => die(e),
@@ -435,7 +393,7 @@ fn main() {
                 let usage = || -> ! {
                     eprintln!(
                         "usage: experiments history add --run-label L --sampling-report F \
-                         [--timestamp T] [--sampling-error F] [--engine-trace F] [--bench F]"
+                         [--timestamp T] [--sampling-error F]"
                     );
                     std::process::exit(2);
                 };
@@ -449,20 +407,12 @@ fn main() {
                     usage();
                 };
                 let error = take_flag(&mut args, "--sampling-error").map(|p| read_or_die(&p));
-                let trace = take_flag(&mut args, "--engine-trace").map(|p| read_or_die(&p));
-                let bench = take_flag(&mut args, "--bench").map(|p| read_or_die(&p));
                 if args.len() != 2 {
                     usage();
                 }
-                let outcome = RunRecord::from_documents(
-                    &label,
-                    &timestamp,
-                    &report,
-                    error.as_deref(),
-                    trace.as_deref(),
-                    bench.as_deref(),
-                )
-                .and_then(|r| ledger.add(r));
+                let outcome =
+                    RunRecord::from_documents(&label, &timestamp, &report, error.as_deref())
+                        .and_then(|r| ledger.add(r));
                 match outcome {
                     Err(e) => die(e),
                     Ok(seq) => {
@@ -502,14 +452,8 @@ fn main() {
             Some(text) => parse_trend_tolerances(&text).unwrap_or_else(|e| die(e)),
         };
         let mut params = TrendParams::default();
-        if let Some(w) = take_flag(&mut args, "--window") {
-            match w.parse::<usize>() {
-                Ok(n) if n >= 1 => params.window = n,
-                _ => {
-                    eprintln!("--window needs a positive integer, got {w}");
-                    std::process::exit(2);
-                }
-            }
+        if let Some(n) = take_count(&mut args, "--window") {
+            params.window = n;
         }
         if args.len() != 1 {
             eprintln!("usage: experiments trend [--tolerances FILE] [--window N]");
@@ -592,16 +536,7 @@ fn main() {
             }
         }
     }
-    let mut threads = env.threads;
-    if let Some(v) = take_flag(&mut args, "--threads") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => threads = n,
-            _ => {
-                eprintln!("--threads needs a positive integer, got {v}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let threads = take_count(&mut args, "--threads").unwrap_or(env.threads);
     let store_flag = take_flag(&mut args, "--store");
     let no_store = take_bare(&mut args, "--no-store");
     // `--run-label L` records the sweep's sampling summary into the
@@ -614,8 +549,7 @@ fn main() {
     let history_flag = take_flag(&mut args, "--history");
     let no_history = take_bare(&mut args, "--no-history");
     if run_timestamp.is_some() && run_label.is_none() {
-        eprintln!("--timestamp only makes sense with --run-label");
-        std::process::exit(2);
+        die("--timestamp only makes sense with --run-label");
     }
     let ledger = match &run_label {
         None => None,
@@ -676,8 +610,7 @@ fn main() {
             if Harness::ALL_IDS.contains(&a.as_str()) || EXTRA_IDS.contains(&a.as_str()) {
                 ids.push(a.as_str());
             } else {
-                eprintln!("unknown experiment id: {a} (try --help)");
-                std::process::exit(2);
+                die(format!("unknown experiment id: {a} (try --help)"));
             }
         }
         ids
@@ -748,25 +681,16 @@ fn main() {
     }
     if let (Some(label), Some(ledger)) = (&run_label, &ledger) {
         let timestamp = run_timestamp.as_deref().unwrap_or("-");
-        let outcome = RunRecord::from_documents(
-            label,
-            timestamp,
-            &h.sampling_json(&rfp_cfg),
-            None,
-            None,
-            None,
-        )
-        .and_then(|r| ledger.add(r));
+        let outcome = RunRecord::from_documents(label, timestamp, &h.sampling_json(&rfp_cfg), None)
+            .and_then(|r| ledger.add(r));
         match outcome {
             Err(e) => die(e),
             Ok(seq) => eprintln!("recorded run {label:?} as ledger seq {seq}"),
         }
     }
     if let Some(dir) = &trace_out {
-        let w = rfp_trace::by_name(&trace_workload).unwrap_or_else(|| {
-            eprintln!("unknown --trace-workload '{trace_workload}'");
-            std::process::exit(2);
-        });
+        let w = rfp_trace::by_name(&trace_workload)
+            .unwrap_or_else(|| die(format!("unknown --trace-workload '{trace_workload}'")));
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
         write_or_die(&path, &trace_workload_json(&rfp_cfg, &w, len));

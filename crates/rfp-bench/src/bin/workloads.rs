@@ -19,7 +19,7 @@
 //! this bin runs no grid: a malformed value exits 2 so scripts that
 //! export one for a whole pipeline can't half work.
 
-use rfp_bench::RunEnv;
+use rfp_bench::{die, take_flag, write_or_die, RunEnv};
 use rfp_stats::TextTable;
 use rfp_trace::{AddrPattern, StaticKind, WorkingSetClass, Workload};
 
@@ -64,24 +64,6 @@ fn describe(w: &Workload) {
     }
 }
 
-/// Prints `error: {msg}` and exits 2.
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// Removes `--flag value` from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 /// Simulates `w` for `len` uops under the RFP config with every
 /// observability sink attached and writes whichever outputs were
 /// requested.
@@ -100,9 +82,6 @@ fn observe(
     );
     let (_report, tee) =
         rfp_core::simulate_workload_probed(&cfg, w, len, tee).expect("valid config");
-    let write_or_die = |path: &str, contents: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
-    };
     if let Some(dir) = trace_out {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("mkdir {dir}: {e}")));
         let path = format!("{dir}/{}.trace.json", w.name);
@@ -151,16 +130,12 @@ fn main() {
                     );
                 }
             }
-            None => {
-                eprintln!("unknown workload '{name}'");
-                std::process::exit(2);
-            }
+            None => die(format!("unknown workload '{name}'")),
         }
         return;
     }
     if side_outputs {
-        eprintln!("--trace-out/--metrics-out/--profile-out need a workload name");
-        std::process::exit(2);
+        die("--trace-out/--metrics-out/--profile-out need a workload name");
     }
     let mut t = TextTable::new(&[
         "workload",

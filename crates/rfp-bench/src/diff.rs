@@ -32,9 +32,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded input could overflow the
+/// stack; every document this workspace writes nests fewer than ten.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -78,8 +85,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(&open @ (b'[' | b'{')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(_) => self.number(),
         }
     }
@@ -205,10 +223,16 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a complete JSON document.
+///
+/// # Errors
+///
+/// The first syntax error with its byte offset, including arrays or
+/// objects nested more than 128 deep.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.ws();
@@ -576,5 +600,18 @@ mod tests {
         assert_eq!(flat.get("nested.k[1]"), Some(&Json::Num(1.0)));
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("{\"a\":").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_named_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        let too_deep = |at: usize| Err(format!("nesting deeper than 128 at byte {at}"));
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH)).is_ok());
+        assert_eq!(parse_json(&arrays(MAX_JSON_DEPTH + 1)), too_deep(128));
+        assert_eq!(parse_json(&objects(MAX_JSON_DEPTH + 1)), too_deep(640));
+        // Deep enough to overflow the stack without the cap.
+        assert_eq!(parse_json(&"[".repeat(100_000)), too_deep(128));
     }
 }

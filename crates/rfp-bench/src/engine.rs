@@ -1274,133 +1274,6 @@ pub fn telemetry_jsonl(telemetry: &[JobTelemetry]) -> String {
     out
 }
 
-/// Merges `sections` (top-level key → rendered JSON value) into the JSON
-/// object stored at `path`, preserving any other top-level sections —
-/// so `benches/simulator.rs` and `benches/warm_fork.rs` can each own
-/// their slice of `BENCH_engine.json` without clobbering the other's.
-///
-/// The file is created as `{}`-rooted when missing. This is a
-/// deliberately dumb splitter, not a JSON parser: it walks the top level
-/// of the object tracking string/brace/bracket nesting, which is all the
-/// bench files need.
-///
-/// # Errors
-///
-/// Propagates I/O errors; returns `InvalidData` when the existing file
-/// is not a single top-level JSON object.
-pub fn update_bench_json(
-    path: &std::path::Path,
-    sections: &[(&str, String)],
-) -> std::io::Result<()> {
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::from("{}"),
-        Err(e) => return Err(e),
-    };
-    let mut entries = split_top_level_object(&existing).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{} is not a single top-level JSON object", path.display()),
-        )
-    })?;
-    for (key, value) in sections {
-        match entries.iter_mut().find(|(k, _)| k == key) {
-            Some(slot) => slot.1 = value.clone(),
-            None => entries.push((key.to_string(), value.clone())),
-        }
-    }
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!("  \"{}\": {}{}\n", json_escape(key), value, sep));
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-/// Splits the top level of a JSON object into `(key, raw value)` pairs.
-/// Returns `None` when `text` isn't a single object.
-fn split_top_level_object(text: &str) -> Option<Vec<(String, String)>> {
-    let body = text.trim();
-    let body = body.strip_prefix('{')?.strip_suffix('}')?;
-    let mut entries = Vec::new();
-    let mut chars = body.char_indices().peekable();
-    loop {
-        // Skip whitespace and the comma separating entries.
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        let Some(&(_, c)) = chars.peek() else {
-            return Some(entries);
-        };
-        if c != '"' {
-            return None;
-        }
-        chars.next();
-        let mut key = String::new();
-        let mut escaped = false;
-        for (_, c) in chars.by_ref() {
-            if escaped {
-                // Keys in our bench files are plain identifiers; keep the
-                // escape verbatim so round-tripping is lossless.
-                key.push('\\');
-                key.push(c);
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                break;
-            } else {
-                key.push(c);
-            }
-        }
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        if !matches!(chars.next(), Some((_, ':'))) {
-            return None;
-        }
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        // Consume the value: track nesting until a top-level ',' or end.
-        let start = chars.peek()?.0;
-        let mut end = body.len();
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut str_escaped = false;
-        for (i, c) in chars.by_ref() {
-            if in_str {
-                if str_escaped {
-                    str_escaped = false;
-                } else if c == '\\' {
-                    str_escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                ',' if depth == 0 => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if depth > 0 || in_str {
-            return None;
-        }
-        entries.push((key, body[start..end].trim_end().to_string()));
-        if end == body.len() {
-            return Some(entries);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1749,33 +1622,5 @@ mod tests {
             assert_eq!(t.useful(), o.stats.rfp_useful, "{}", o.workload);
             assert_eq!(t.injected, o.stats.rfp_injected, "{}", o.workload);
         }
-    }
-
-    #[test]
-    fn update_bench_json_preserves_other_sections() {
-        let dir = std::env::temp_dir().join(format!("rfp_bench_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let _ = std::fs::remove_file(&path);
-        update_bench_json(&path, &[("alpha", "{\n    \"x\": [1, 2]\n  }".into())]).unwrap();
-        update_bench_json(&path, &[("beta", "3.5".into())]).unwrap();
-        update_bench_json(&path, &[("alpha", "\"s,{}\"".into())]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let entries = split_top_level_object(&text).unwrap();
-        assert_eq!(
-            entries,
-            vec![
-                ("alpha".to_string(), "\"s,{}\"".to_string()),
-                ("beta".to_string(), "3.5".to_string()),
-            ]
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn split_top_level_rejects_non_objects() {
-        assert!(split_top_level_object("[1, 2]").is_none());
-        assert!(split_top_level_object("{\"a\": {").is_none());
-        assert_eq!(split_top_level_object("{}").unwrap(), vec![]);
     }
 }

@@ -10,20 +10,14 @@
 //! gates the *recent window* of the ledger against its own history
 //! ([`rfp_stats::detect_trend`]).
 //!
-//! # Deterministic vs host strata
+//! # Deterministic records
 //!
-//! Each record carries two strictly-quarantined strata, mirroring the
-//! `EngineMetrics` timing split (`engine_trace.rs`):
-//!
-//! - The **deterministic stratum** — label, caller-supplied timestamp,
-//!   trace length, per-workload IPC / coverage / cycles and CPI-stack
-//!   shares, sampling-error summary — is a pure function of the sweep's
-//!   inputs. Only this stratum enters [`RunRecord::canonical_text`] (so
-//!   `history show` and `trend` output is byte-identical across thread
-//!   counts and store states) and the trend series.
-//! - The **host stratum** — engine/store hit rates and bench wall-time
-//!   sections — is recorded for forensics but never rendered into
-//!   canonical text: a warm store changes hit rates, not verdicts.
+//! A record holds only what is a pure function of the sweep's inputs:
+//! label, caller-supplied timestamp, trace length, per-workload IPC /
+//! coverage / cycles and CPI-stack shares, and the sampling-error
+//! summary. So [`RunRecord::canonical_text`] (`history show`) and the
+//! `trend` series are byte-identical across thread counts and store
+//! states. Host timings and hit rates are not recorded.
 //!
 //! Timestamps are caller-supplied strings, never generated here:
 //! recording a run twice with the same arguments writes byte-identical
@@ -42,13 +36,13 @@ use rfp_stats::{detect_trend, Direction, TextTable, TrendParams, TrendVerdict};
 use rfp_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rfp_types::json_escape;
 
-use crate::diff::{flatten, parse_json, Json};
+use crate::diff::{parse_json, Json};
 use crate::store::{decode_entry_unkeyed, ExpStore, Tier};
 
 /// Ledger payload schema. Bump whenever [`RunRecord`]'s codec layout
 /// changes: old entries then read as skipped (counted) rather than
 /// misdecoded.
-pub const HISTORY_SCHEMA_VERSION: u32 = 1;
+pub const HISTORY_SCHEMA_VERSION: u32 = 2;
 
 /// One workload's deterministic results inside a [`RunRecord`].
 #[derive(Debug, Clone, PartialEq)]
@@ -113,8 +107,8 @@ impl Codec for SamplingErrorSummary {
     }
 }
 
-/// One labelled sweep in the ledger. See the module docs for the
-/// deterministic-vs-host strata contract.
+/// One labelled sweep in the ledger. See the module docs for why it
+/// holds no host data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Payload schema ([`HISTORY_SCHEMA_VERSION`] at write time).
@@ -131,12 +125,6 @@ pub struct RunRecord {
     pub workloads: Vec<WorkloadRow>,
     /// Sampling-error summary, when the sweep produced one.
     pub sampling_error: Option<SamplingErrorSummary>,
-    /// Host stratum: numeric `engineMetrics` leaves from the engine
-    /// trace (hit rates, steals, wall nanos). Quarantined — never enters
-    /// [`Self::canonical_text`] or trend series.
-    pub host: Vec<(String, f64)>,
-    /// Host stratum: numeric `BENCH_engine.json` leaves. Quarantined.
-    pub bench: Vec<(String, f64)>,
 }
 
 impl Codec for RunRecord {
@@ -148,8 +136,6 @@ impl Codec for RunRecord {
         self.trace_len.encode(w);
         self.workloads.encode(w);
         self.sampling_error.encode(w);
-        self.host.encode(w);
-        self.bench.encode(w);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
@@ -161,8 +147,6 @@ impl Codec for RunRecord {
             trace_len: u64::decode(r)?,
             workloads: Vec::decode(r)?,
             sampling_error: Option::decode(r)?,
-            host: Vec::decode(r)?,
-            bench: Vec::decode(r)?,
         })
     }
 }
@@ -170,8 +154,8 @@ impl Codec for RunRecord {
 impl RunRecord {
     /// Builds a record from the pipeline's JSON documents: a
     /// `--sampling-report` (required — it carries the per-workload
-    /// IPC/coverage/cycles/CPI core), plus optional `sampling-error`,
-    /// engine-trace and bench documents. `seq` is assigned later by
+    /// IPC/coverage/cycles/CPI core), plus an optional `sampling-error`
+    /// document. `seq` is assigned later by
     /// [`HistoryLedger::add`].
     ///
     /// # Errors
@@ -183,8 +167,6 @@ impl RunRecord {
         timestamp: &str,
         sampling_report: &str,
         sampling_error: Option<&str>,
-        engine_trace: Option<&str>,
-        bench: Option<&str>,
     ) -> Result<RunRecord, String> {
         if label.trim().is_empty() {
             return Err("run label must be non-empty".to_string());
@@ -247,28 +229,6 @@ impl RunRecord {
                 })
             }
         };
-        // Host stratum: numeric leaves only, flattened with their JSON
-        // paths (BTreeMap order, so the encoding is deterministic too).
-        let numeric_leaves =
-            |name: &str, text: &str, filter: &str| -> Result<Vec<(String, f64)>, String> {
-                let doc = parse_json(text).map_err(|e| format!("{name}: {e}"))?;
-                Ok(flatten(&doc)
-                    .into_iter()
-                    .filter(|(path, _)| filter.is_empty() || path.contains(filter))
-                    .filter_map(|(path, v)| match v {
-                        Json::Num(n) => Some((path, n)),
-                        _ => None,
-                    })
-                    .collect())
-            };
-        let host = match engine_trace {
-            Some(text) => numeric_leaves("engine-trace", text, "engineMetrics")?,
-            None => Vec::new(),
-        };
-        let bench = match bench {
-            Some(text) => numeric_leaves("bench", text, "")?,
-            None => Vec::new(),
-        };
         Ok(RunRecord {
             schema: HISTORY_SCHEMA_VERSION,
             seq: 0,
@@ -281,13 +241,10 @@ impl RunRecord {
             trace_len,
             workloads,
             sampling_error,
-            host,
-            bench,
         })
     }
 
-    /// The deterministic stratum as stable text (`history show`). The
-    /// host stratum is deliberately absent: these bytes must be
+    /// The record as stable text (`history show`). These bytes must be
     /// identical whether the sweep that produced the record ran on 1 or
     /// 8 threads, store off, cold or warm.
     pub fn canonical_text(&self) -> String {
@@ -461,8 +418,8 @@ pub fn render_history_show(view: &LedgerView) -> String {
     out
 }
 
-/// Renders `experiments history export`: the deterministic stratum of
-/// every record as one JSON document — the input format of the
+/// Renders `experiments history export`: every record as one JSON
+/// document — the input format of the
 /// dashboard's trend panels (`experiments report --history`).
 pub fn history_export_json(view: &LedgerView) -> String {
     let mut out = format!(
@@ -657,8 +614,7 @@ mod tests {
         r#"{"workloads":2,"worst_metric":"ipc","worst_rel_error":0.012,"metrics":{}}"#;
 
     fn record(label: &str) -> RunRecord {
-        RunRecord::from_documents(label, "2026-08-09", REPORT, Some(ERROR_DOC), None, None)
-            .expect("valid docs")
+        RunRecord::from_documents(label, "2026-08-09", REPORT, Some(ERROR_DOC)).expect("valid docs")
     }
 
     #[test]
@@ -694,9 +650,9 @@ mod tests {
 
     #[test]
     fn labels_and_timestamps_are_normalized() {
-        let err = RunRecord::from_documents("  ", "t", REPORT, None, None, None);
+        let err = RunRecord::from_documents("  ", "t", REPORT, None);
         assert!(err.is_err());
-        let r = RunRecord::from_documents("x", "  ", REPORT, None, None, None).expect("ok");
+        let r = RunRecord::from_documents("x", "  ", REPORT, None).expect("ok");
         assert_eq!(r.timestamp, "-");
     }
 
@@ -734,24 +690,30 @@ mod tests {
         future.seq = 99;
         s.0.store
             .put(Tier::History, &history_key(99, "future"), &future);
+        // A schema-1 writer's record: the same fields followed by the
+        // host and bench leaf lists that schema 2 dropped.
+        let mut old = record("old");
+        old.schema = 1;
+        old.seq = 98;
+        let host = vec![("engineMetrics.timing.steals".to_string(), 3.0)];
+        let bench = vec![("engine.wall_s".to_string(), 1.25)];
+        s.0.store.put(
+            Tier::History,
+            "history|schema=1|seq=98|label=old",
+            &(old, host, bench),
+        );
         let view = s.0.load();
-        assert_eq!((view.runs.len(), view.corrupt_skipped), (1, 1));
+        assert_eq!((view.runs.len(), view.corrupt_skipped), (1, 2));
         assert_eq!(view.runs[0].label, "current");
+        assert!(render_history_list(&view).contains("current"));
+        assert!(render_history_show(&view).contains("run seq=1 label=current"));
     }
 
     #[test]
     fn canonical_text_is_deterministic_and_quarantines_host_data() {
-        let trace = r#"{"otherData":{"engineMetrics":{"schema":1,"jobs":4,
-            "timing":{"workers":8,"steals":3,"wall_nanos":123456}}}}"#;
-        let bench = r#"{"engine":{"wall_s":1.25},"note":"text"}"#;
-        let with_host = RunRecord::from_documents("r", "t", REPORT, None, Some(trace), Some(bench))
-            .expect("ok");
-        let without = RunRecord::from_documents("r", "t", REPORT, None, None, None).expect("ok");
-        assert!(!with_host.host.is_empty(), "host leaves extracted");
-        assert!(!with_host.bench.is_empty(), "bench leaves extracted");
-        // Host data must not leak into the canonical text.
-        assert_eq!(with_host.canonical_text(), without.canonical_text());
-        let text = without.canonical_text();
+        let build = || RunRecord::from_documents("r", "t", REPORT, None).expect("ok");
+        let text = build().canonical_text();
+        assert_eq!(text, build().canonical_text());
         assert!(text.contains("ipc=2.000000"), "{text}");
         assert!(
             text.contains("cpi base=0.900000 mem-dram=0.100000"),

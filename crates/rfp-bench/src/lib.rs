@@ -43,9 +43,9 @@ pub use diff::{
     diff_metrics, diff_metrics_with, flatten, parse_json, DiffOutcome, Json, Violation,
 };
 pub use engine::{
-    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, update_bench_json,
-    warm_key, warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan,
-    SimMode, WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
+    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, warm_key,
+    warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan, SimMode,
+    WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
     TELEMETRY_SCHEMA_VERSION,
 };
 pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
@@ -56,7 +56,10 @@ pub use history::{
 };
 pub use inspect::{inspect_workload, InspectOutcome, INSPECT_LEAD_UOPS};
 pub use report::{render_report, ReportInputs};
-pub use run_env::{EnvError, EnvStores, Knob, NonEmptyPath, RunEnv, KNOBS};
+pub use run_env::{
+    die, read_or_die, take_bare, take_count, take_flag, write_or_die, EnvError, EnvStores, Knob,
+    NonEmptyPath, RunEnv, KNOBS,
+};
 pub use store::{
     render_store_stats, result_key, trace_key, warm_snapshot_key, ExpStore, StoreStats, Tier,
     TierUsage, STORE_SCHEMA_VERSION,
@@ -64,16 +67,6 @@ pub use store::{
 
 /// Default measured trace length per workload (after an equal warmup).
 pub const DEFAULT_TRACE_LEN: u64 = 120_000;
-
-/// Runs the whole suite under `cfg` on the default worker count
-/// (see [`default_threads`]).
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid or a worker thread panics.
-pub fn run_suite(cfg: &CoreConfig, len: u64) -> Vec<SimReport> {
-    run_suite_with_threads(cfg, len, default_threads())
-}
 
 /// Runs the whole suite under `cfg` on exactly `threads` work-stealing
 /// workers, with the default pool (exact warm sharing, full fidelity,
@@ -1686,14 +1679,6 @@ pub fn profile_reports_json(cfg: &CoreConfig, len: u64, reports: &[SimReport]) -
     )
 }
 
-/// Runs the whole suite under `cfg` with metrics sinks attached (default
-/// pool) and returns the [`metrics_reports_json`] document (the
-/// `--metrics-out` payload).
-pub fn metrics_suite_json(cfg: &CoreConfig, len: u64, threads: usize) -> String {
-    let (reports, _) = suite_row(&WarmPool::new(WarmMode::Exact, len), cfg, threads, true);
-    metrics_reports_json(cfg, len, &reports)
-}
-
 /// The `--sampling-report` payload: a compact per-workload document of
 /// exactly the headline metrics the phase sampler's accuracy gate
 /// tracks — IPC, RFP coverage, cycles and the whole-run CPI stack
@@ -1978,9 +1963,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_suite_json_parses_shapewise() {
+    fn metrics_json_parses_shapewise() {
         let cfg = CoreConfig::tiger_lake().with_rfp();
-        let json = metrics_suite_json(&cfg, 600, 2);
+        let json = Harness::with_threads(600, 2).metrics_json(&cfg);
         assert!(json.starts_with("{\"config_key\":\""));
         assert!(json.contains("\"aggregate\":{\"load_use_latency\":["));
         assert!(json.contains("\"aggregate_cpi\":{\"interval_uops\":8192"));

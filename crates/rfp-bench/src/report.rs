@@ -1,6 +1,6 @@
 //! `experiments report`: folds the pipeline's JSON documents —
 //! metrics, profile, sampling report/error, engine trace, telemetry,
-//! bench trajectory — into one self-contained static HTML dashboard.
+//! run history — into one self-contained static HTML dashboard.
 //!
 //! The page is hand-rolled HTML with inline SVG charts: no scripts, no
 //! external assets, opens offline. Output is byte-deterministic given
@@ -31,8 +31,6 @@ pub struct ReportInputs {
     pub engine_trace: Option<String>,
     /// `--telemetry-out` JSONL stream.
     pub telemetry: Option<String>,
-    /// `BENCH_engine.json` trajectory.
-    pub bench: Option<String>,
     /// `experiments history export` document (the run-history ledger's
     /// deterministic stratum) — feeds the trend panels.
     pub history: Option<String>,
@@ -495,28 +493,6 @@ fn engine_section(trace: Option<&Json>, telemetry: Option<&str>) -> String {
     out
 }
 
-/// Bench section: flattened `BENCH_engine.json` leaves as one table.
-fn bench_section(doc: Option<&Json>) -> String {
-    let Some(doc) = doc else {
-        return placeholder("bench");
-    };
-    let flat = crate::diff::flatten(doc);
-    let tab: Vec<Vec<String>> = flat
-        .iter()
-        .map(|(k, v)| {
-            let rendered = match v {
-                Json::Num(n) => fmt_num(*n),
-                Json::Str(s) => s.clone(),
-                Json::Bool(b) => b.to_string(),
-                Json::Null => "null".to_string(),
-                _ => "…".to_string(),
-            };
-            vec![k.clone(), rendered]
-        })
-        .collect();
-    table(&["key", "value"], &tab)
-}
-
 /// Inline sparkline over one metric series, min-max normalized. Fixed
 /// geometry and `{:.2}` coordinates keep the bytes deterministic.
 fn sparkline(values: &[f64]) -> String {
@@ -668,7 +644,7 @@ const STYLE: &str = "body{font:14px/1.45 system-ui,sans-serif;margin:0;color:#22
  .swatch{display:inline-block;width:10px;height:10px;margin-right:4px}";
 
 /// Sections in page order: `(anchor, title)`.
-const SECTIONS: [(&str, &str); 9] = [
+const SECTIONS: [(&str, &str); 8] = [
     ("overview", "Overview"),
     ("workloads", "Workloads"),
     ("cpi", "CPI stacks"),
@@ -676,7 +652,6 @@ const SECTIONS: [(&str, &str); 9] = [
     ("profile", "Top offender sites"),
     ("sampling", "Sampling accuracy"),
     ("engine", "Engine observability"),
-    ("bench", "Bench trajectory"),
     ("trend", "Run history & trends"),
 ];
 
@@ -696,7 +671,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
     let sampling_report = parse_opt("sampling-report", &inputs.sampling_report)?;
     let sampling_error = parse_opt("sampling-error", &inputs.sampling_error)?;
     let engine_trace = parse_opt("engine-trace", &inputs.engine_trace)?;
-    let bench = parse_opt("bench", &inputs.bench)?;
     let history = parse_opt("history", &inputs.history)?;
 
     let inventory: Vec<Vec<String>> = [
@@ -706,7 +680,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
         ("sampling-error", inputs.sampling_error.is_some()),
         ("engine-trace", inputs.engine_trace.is_some()),
         ("telemetry", inputs.telemetry.is_some()),
-        ("bench", inputs.bench.is_some()),
         ("history", inputs.history.is_some()),
     ]
     .iter()
@@ -732,7 +705,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
         profile_section(profile.as_ref()),
         sampling_section(sampling_error.as_ref()),
         engine_section(engine_trace.as_ref(), inputs.telemetry.as_deref()),
-        bench_section(bench.as_ref()),
         trend_section(history.as_ref()),
     ];
 
@@ -803,7 +775,6 @@ mod tests {
                 "{\"schema\":1,\"job\":0}\n{\"schema\":1,\"job\":1}\n{\"warm_pool\":{}}\n"
                     .to_string(),
             ),
-            bench: Some(r#"{"simulator":{"mips":12.5},"schema":"v1"}"#.to_string()),
             history: Some(
                 r#"{"schema":1,"corrupt_skipped":0,"runs":[
                     {"seq":1,"label":"pr9","timestamp":"t1","trace_len":100,"workloads":[
@@ -880,7 +851,6 @@ mod tests {
         let html = render_report(&ReportInputs::default()).unwrap();
         assert!(html.contains("no metrics document provided"));
         assert!(html.contains("no engine-trace document provided"));
-        assert!(html.contains("no bench document provided"));
         assert_eq!(
             html.matches("<section").count(),
             html.matches("</section>").count()

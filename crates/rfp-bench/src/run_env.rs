@@ -10,6 +10,11 @@
 //!
 //! One table ([`KNOBS`]) drives both the parser and the env rows of
 //! `experiments --help`, so the two cannot drift.
+//!
+//! The bins' shared argument helpers live here too: [`take_flag`],
+//! [`take_count`] and [`take_bare`] pull flags out of `argv`, and [`die`] (with
+//! [`read_or_die`] / [`write_or_die`]) is their one exit-2 path. The
+//! rest of the library never calls them: it returns errors instead.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -239,10 +244,83 @@ impl RunEnv {
     }
 }
 
+/// Prints `error: {msg}` and exits 2 — configuration and I/O problems
+/// are usage errors in the bins, not bugs worth a backtrace.
+pub fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Reads a file or exits 2 naming the path.
+pub fn read_or_die(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("read {path}: {e}")))
+}
+
+/// Writes a file or exits 2 naming the path.
+pub fn write_or_die(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| die(format!("write {path}: {e}")));
+}
+
+/// Removes `--flag value` from `args`, returning the value. A trailing
+/// `--flag` with no value [`die`]s.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        die(format!("{flag} needs a value"));
+    }
+    let v = args.remove(i + 1);
+    args.remove(i);
+    Some(v)
+}
+
+/// [`take_flag`] for a count (`--threads N`): a value that is not an
+/// integer >= 1 [`die`]s naming the flag.
+pub fn take_count(args: &mut Vec<String>, flag: &str) -> Option<usize> {
+    let v = take_flag(args, flag)?;
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => die(format!("{flag} needs a positive integer, got {v}")),
+    }
+}
+
+/// Removes a bare `--flag` (no value) from `args`, returning whether it
+/// was present.
+pub fn take_bare(args: &mut Vec<String>, flag: &str) -> bool {
+    let at = args.iter().position(|a| a == flag);
+    at.map(|i| args.remove(i)).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn take_flag_removes_the_flag_and_its_value() {
+        let mut args = argv(&["report", "--metrics", "m.json", "--x"]);
+        assert_eq!(take_flag(&mut args, "--metrics").as_deref(), Some("m.json"));
+        assert_eq!(args, argv(&["report", "--x"]));
+        assert_eq!(take_flag(&mut args, "--metrics"), None);
+        assert_eq!(take_flag(&mut args, "--absent"), None);
+        assert_eq!(args, argv(&["report", "--x"]));
+        let mut args = argv(&["--threads", "3", "all"]);
+        assert_eq!(take_count(&mut args, "--threads"), Some(3));
+        assert_eq!(args, argv(&["all"]));
+    }
+
+    #[test]
+    fn take_bare_removes_only_the_flag() {
+        let mut args = argv(&["store", "--no-store", "gc"]);
+        assert!(take_bare(&mut args, "--no-store"));
+        assert_eq!(args, argv(&["store", "gc"]));
+        assert!(!take_bare(&mut args, "--no-store"));
+        assert!(!take_bare(&mut args, "--absent"));
+        assert_eq!(args, argv(&["store", "gc"]));
+    }
 
     fn parse(vars: &[(&str, &str)]) -> Result<RunEnv, EnvError> {
         let map: HashMap<String, String> = vars

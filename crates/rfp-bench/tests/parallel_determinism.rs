@@ -750,7 +750,7 @@ mod persistent_store {
             let scratch = Scratch::new("hist-ledger");
             let ledger = HistoryLedger::new(scratch.open());
             for (label, ts) in [("run-a", "-"), ("run-b", "2026-08-09")] {
-                let r = RunRecord::from_documents(label, ts, &report, None, None, None)
+                let r = RunRecord::from_documents(label, ts, &report, None)
                     .expect("sweep report parses");
                 ledger.add(r).expect("ledger append");
             }

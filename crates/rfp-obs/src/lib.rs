@@ -4,8 +4,7 @@
 //! for micro-op lifecycle and memory-system events. Instrumentation call
 //! sites are guarded by the associated constant [`Probe::ENABLED`], so
 //! the default [`NoopProbe`] monomorphizes to *nothing*: no dynamic
-//! dispatch, no branch, no event construction on the hot path. The
-//! engine benches guard this claim against `BENCH_engine.json`.
+//! dispatch, no branch, no event construction on the hot path.
 //!
 //! Two real sinks ship with the crate:
 //!

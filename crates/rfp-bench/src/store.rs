@@ -52,8 +52,16 @@ const MAGIC: &[u8; 8] = b"RFPSTORE";
 /// Store schema version. Bump whenever the envelope or the wire format
 /// of any persisted payload changes (a codec layout change in any crate
 /// counts): old entries then read as misses and are overwritten by fresh
-/// results. Schema 2 seals entries with the word-wise `entry_checksum`.
+/// results. A change confined to the warm tier's payload bumps
+/// [`WARM_SNAPSHOT_VERSION`] instead, so the other tiers survive it.
+/// Schema 2 seals entries with the word-wise `entry_checksum`.
 pub const STORE_SCHEMA_VERSION: u32 = 2;
+
+/// Layout version of the warm tier's [`WarmState`](rfp_core::WarmState)
+/// payload, spelled into [`warm_snapshot_key`] only: entries of an older
+/// layout are never looked up again, so they cannot be misparsed. Version
+/// 2 writes only the valid ways of each cache and TLB set.
+const WARM_SNAPSHOT_VERSION: u32 = 2;
 
 /// The four content tiers of an [`ExpStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,19 +262,17 @@ impl ExpStore {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        let published = std::fs::write(&tmp, &bytes).is_ok() && {
-            let ok = std::fs::rename(&tmp, &path).is_ok();
-            if !ok {
-                let _ = std::fs::remove_file(&tmp);
+        match std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path)) {
+            Ok(()) => {
+                let n = bytes.len() as u64;
+                self.bytes_written.fetch_add(n, Ordering::Relaxed);
+                n
             }
-            ok
-        };
-        if published {
-            let n = bytes.len() as u64;
-            self.bytes_written.fetch_add(n, Ordering::Relaxed);
-            n
-        } else {
-            0
+            Err(_) => {
+                // A write that failed partway leaves a partial file too.
+                let _ = std::fs::remove_file(&tmp);
+                0
+            }
         }
     }
 
@@ -385,18 +391,22 @@ impl ExpStore {
         (evicted, evicted_bytes)
     }
 
-    /// Removes every entry in `tier`. Returns the number removed.
+    /// Removes every entry in `tier`, and every `.tmp` file a writer left
+    /// behind (killed before its rename). Returns the number of entries
+    /// removed.
     pub fn clear_tier(&self, tier: Tier) -> u64 {
         let mut removed = 0;
         let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
             return 0;
         };
         for e in dir.flatten() {
-            let path = e.path();
-            if path.extension().is_none_or(|x| x != "bin") {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            let entry = name.ends_with(".bin");
+            if !entry && !name.contains(".tmp.") {
                 continue;
             }
-            if std::fs::remove_file(&path).is_ok() {
+            if std::fs::remove_file(e.path()).is_ok() && entry {
                 removed += 1;
             }
         }
@@ -519,10 +529,13 @@ pub fn result_key(
 /// rendering — configs sharing a projection produce bit-identical warm
 /// state, so they share one persisted snapshot — and by the warmup
 /// length; the trace beyond the consumed prefix cannot influence the
-/// state, so the measured length stays out of the key.
+/// state, so the measured length stays out of the key. The
+/// [`WARM_SNAPSHOT_VERSION`] re-keys the tier alone when the snapshot
+/// layout changes.
 pub fn warm_snapshot_key(warmup: u64, workload: &str, projected: &rfp_core::CoreConfig) -> String {
     format!(
-        "warm|schema={STORE_SCHEMA_VERSION}|warmup={warmup}|workload={workload}|cfg={projected:?}"
+        "warm|schema={STORE_SCHEMA_VERSION}|snapshot={WARM_SNAPSHOT_VERSION}|warmup={warmup}\
+         |workload={workload}|cfg={projected:?}"
     )
 }
 
@@ -807,6 +820,41 @@ mod tests {
     }
 
     #[test]
+    fn clear_removes_orphaned_tmp_files() {
+        let s = Scratch::new("orphans");
+        let store = &s.0;
+        store.put(Tier::Warm, "k", &1u64);
+        // What a writer killed before its rename leaves behind.
+        let orphan = store
+            .entry_path(Tier::Warm, "k")
+            .with_extension("tmp.4242.0");
+        std::fs::write(&orphan, b"partial").expect("plant");
+        assert_eq!(store.clear(), 1, "the orphan is not an entry");
+        let left: Vec<_> = std::fs::read_dir(store.root().join(Tier::Warm.dir()))
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+    }
+
+    #[test]
+    fn a_failed_publish_leaves_no_tmp_file() {
+        let s = Scratch::new("failed-publish");
+        let store = &s.0;
+        // A non-empty directory where the entry goes: the rename fails.
+        let blocker = store.entry_path(Tier::Result, "k");
+        std::fs::create_dir_all(blocker.join("x")).expect("block");
+        assert_eq!(store.put(Tier::Result, "k", &1u64), 0);
+        let names: Vec<_> = std::fs::read_dir(store.root().join(Tier::Result.dir()))
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, [blocker.file_name().expect("name")]);
+    }
+
+    #[test]
     fn gc_spares_the_history_tier_unless_asked() {
         let s = Scratch::new("gc-history");
         let store = &s.0;
@@ -892,6 +940,23 @@ mod tests {
             key(SimMode::Sample, WarmMode::Off),
             format!("{prefix}|sim=sample|warm=off|obs=0|workload=w|cfg={cfg:?}")
         );
+    }
+
+    #[test]
+    fn only_the_warm_key_carries_the_snapshot_version() {
+        // The snapshot layout changed alone: warm entries re-key, while
+        // result and trace entries already on disk keep hitting.
+        let cfg = rfp_core::CoreConfig::tiger_lake();
+        assert_eq!(
+            warm_snapshot_key(1000, "w", &cfg),
+            format!("warm|schema=2|snapshot=2|warmup=1000|workload=w|cfg={cfg:?}")
+        );
+        assert_eq!(
+            trace_key(3000, 1000, 8192, "w"),
+            "trace|schema=2|total=3000|measured_from=1000|interval=8192|workload=w"
+        );
+        let result = result_key(2000, 1000, SimMode::Full, WarmMode::Exact, false, "w", &cfg);
+        assert!(!result.contains("snapshot="), "{result}");
     }
 
     #[test]

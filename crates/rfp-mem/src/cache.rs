@@ -142,6 +142,11 @@ impl Cache {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tags.heap_bytes()
     }
+
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> &TagStore {
+        &self.tags
+    }
 }
 
 mod codec_impls {
@@ -299,12 +304,19 @@ mod tests {
         c.fill(Addr::new(0x40));
         let mut bytes = encode_to_vec(&c);
         assert_eq!(bytes[..8], 4096u64.to_le_bytes());
-        // 1 TiB, 4-way: a valid geometry of 2^32 sets, whose tag store
-        // the 1 KiB that follow cannot hold.
+        // 1 TiB, 4-way: a valid geometry of 2^32 sets, above the tag
+        // store's decode ceiling of 2^26 ways.
         bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(
+            decode_from_slice::<Cache>(&bytes).err(),
+            Some(CodecError::Invalid("tag store above the decode ceiling"))
+        );
+        // 4 GiB, 4-way: 2^24 sets, at the ceiling, whose valid-way counts
+        // alone the bytes that follow cannot hold.
+        bytes[..8].copy_from_slice(&(1u64 << 32).to_le_bytes());
         match decode_from_slice::<Cache>(&bytes) {
             Err(CodecError::ShortRead { wanted, available }) => {
-                assert!(wanted > 1 << 38, "wanted {wanted}");
+                assert!(wanted > 1 << 27, "wanted {wanted}");
                 assert_eq!(available, bytes.len() - 24);
             }
             other => panic!("expected a short read, got {other:?}"),

@@ -628,6 +628,7 @@ mod codec_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::tiger_lake()).unwrap()
@@ -824,7 +825,7 @@ mod tests {
         // config and the trailing 4 KiB (MSHRs, TLBs, prefetcher, counters),
         // and a fixed, evenly spaced set of cuts through the cache arrays in
         // between. Each decode is linear in the prefix, so cutting at every
-        // eighth offset of the multi-MB snapshot would be quadratic.
+        // eighth offset of the 138 KiB of set counts would be quadratic.
         let head = rfp_types::codec::encode_to_vec(&m.config).len() + 64;
         let tail = bytes.len() - 4096;
         let spread = 512;
@@ -837,9 +838,9 @@ mod tests {
         }
     }
 
-    /// FNV-1a of the encoding after a fixed mix of streams, random lines,
-    /// prefetch fills and prewarmed regions.
-    fn encoded_digest_after_fixed_traffic(cfg: HierarchyConfig) -> u64 {
+    /// A hierarchy after a fixed mix of streams, random lines, prefetch
+    /// fills and prewarmed regions.
+    fn after_fixed_traffic(cfg: HierarchyConfig) -> MemoryHierarchy {
         let mut m = MemoryHierarchy::new(cfg).unwrap();
         m.prewarm_region(Addr::new(0x300_0000), 8192, HitLevel::L1);
         m.prewarm_region(Addr::new(0x400_0000), 64 << 10, HitLevel::Llc);
@@ -864,18 +865,59 @@ mod tests {
                     .min(t + 40);
             }
         }
-        rfp_types::fnv1a_64(&rfp_types::codec::encode_to_vec(&m))
+        m
+    }
+
+    /// FNV-1a of the encoding of [`after_fixed_traffic`].
+    fn encoded_digest_after_fixed_traffic(cfg: HierarchyConfig) -> u64 {
+        rfp_types::fnv1a_64(&rfp_types::codec::encode_to_vec(&after_fixed_traffic(cfg)))
+    }
+
+    /// The encoding of [`after_fixed_traffic`] on the baseline, built once.
+    fn fixed_snapshot() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            rfp_types::codec::encode_to_vec(&after_fixed_traffic(HierarchyConfig::tiger_lake()))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Damaged snapshot bytes decode to an error or to a consistent
+        /// hierarchy, never a panic: every cut is short, and a single bit
+        /// flip either fails or leaves every tag store's sets valid. No
+        /// tag store allocates before its geometry passes the decode
+        /// ceiling and its bytes are in hand.
+        #[test]
+        fn damaged_snapshot_bytes_never_panic(
+            cut in any::<u64>(),
+            bit in any::<u64>(),
+        ) {
+            let bytes = fixed_snapshot();
+            let cut = (cut % bytes.len() as u64) as usize;
+            let short = rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&bytes[..cut]);
+            prop_assert!(short.is_err(), "cut at {} decoded", cut);
+            let mut flipped = bytes.to_vec();
+            let bit = (bit % (8 * bytes.len() as u64)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(m) = rfp_types::codec::decode_from_slice::<MemoryHierarchy>(&flipped) {
+                let [dtlb, stlb] = m.tlb.tag_stores();
+                for tags in [m.l1.tags(), m.l2.tags(), m.llc.tags(), dtlb, stlb] {
+                    prop_assert_eq!(tags.check(), Ok(()), "bit {}", bit);
+                }
+            }
+        }
     }
 
     #[test]
     fn wire_format_is_pinned() {
-        // Digests of the nested per-set vectors' encoding, which the flat
-        // tag store must reproduce byte for byte so that stored warm
-        // snapshots stay valid. The second geometry has 96 L1 and STLB
-        // sets and 768 L2 sets: the modulo path, not the mask.
+        // Digests of the encoding in which each tag store writes only its
+        // valid ways. The second geometry has 96 L1 and STLB sets and 768
+        // L2 sets: the modulo path, not the mask.
         assert_eq!(
             encoded_digest_after_fixed_traffic(HierarchyConfig::tiger_lake()),
-            0xd867_8d90_d00e_3c5f
+            0xb96a_a7a7_e4b3_19b5
         );
         let mut odd = HierarchyConfig::tiger_lake();
         odd.l1.size_bytes = 72 << 10;
@@ -883,7 +925,7 @@ mod tests {
         odd.stlb.entries = 1152;
         assert_eq!(
             encoded_digest_after_fixed_traffic(odd),
-            0x21a7_1b57_15de_cd41
+            0xff3a_5fd0_e1b8_fe79
         );
     }
 

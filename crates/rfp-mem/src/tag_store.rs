@@ -14,14 +14,22 @@
 //! first way with the smallest stamp, so the first invalid way when there
 //! is one. A fill scans its set once, tracking that victim as it looks
 //! for the key, and stops early only when the key is already present.
+//!
+//! Nothing invalidates a way, and a fill only ever takes the first
+//! invalid way, so in every set the valid ways are a prefix. The wire
+//! format rests on that: a set is its valid-way count and one
+//! `(tag, lru)` pair per valid way, and a snapshot costs what it holds.
 
 use rfp_types::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Key of an invalid way.
 const INVALID: u64 = u64::MAX;
 
-/// Encoded size of one way: tag (8), valid flag (1), LRU stamp (8).
-const WAY_BYTES: usize = 17;
+/// The most ways (`sets × ways`) a decode will allocate: 2^26 ways, a
+/// 4 GiB cache of 64-byte lines, 1 GiB of tag arrays. The encoding no
+/// longer spends bytes on invalid ways, so its length cannot bound the
+/// allocation; this does.
+const MAX_DECODED_WAYS: usize = 1 << 26;
 
 /// How the wire format spells a valid way's tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +115,13 @@ impl TagStore {
         (evicted != INVALID).then_some(evicted)
     }
 
+    /// Every set's [`TagStore::check_set`].
+    #[cfg(test)]
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let mut scratch = Vec::with_capacity(self.ways);
+        (0..self.sets).try_for_each(|set| self.check_set(set, &mut scratch))
+    }
+
     /// Host bytes of the two arrays.
     pub(crate) fn heap_bytes(&self) -> usize {
         (self.keys.capacity() + self.lru.capacity()) * std::mem::size_of::<u64>()
@@ -129,12 +144,14 @@ impl TagStore {
             .map(|i| row + i)
     }
 
-    /// The per-set invariants: an invalid way has stamp 0; a valid way has
-    /// a stamp in `1..=stamp`, belongs to this set and is the only way
-    /// holding its key. `scratch` is reused across calls.
+    /// The per-set invariants: the valid ways are a prefix of the set; an
+    /// invalid way has stamp 0; a valid way has a stamp in `1..=stamp`,
+    /// belongs to this set and is the only way holding its key. `scratch`
+    /// is reused across calls.
     fn check_set(&self, set: usize, scratch: &mut Vec<u64>) -> Result<(), &'static str> {
         let row = set * self.ways;
         scratch.clear();
+        let mut invalid_seen = false;
         for (&key, &lru) in self.keys[row..row + self.ways]
             .iter()
             .zip(&self.lru[row..row + self.ways])
@@ -143,7 +160,11 @@ impl TagStore {
                 if lru != 0 {
                     return Err("tag store: invalid way with a nonzero tag or lru");
                 }
+                invalid_seen = true;
                 continue;
+            }
+            if invalid_seen {
+                return Err("tag store: invalid way before a valid one");
             }
             if lru == 0 {
                 return Err("tag store: valid way with lru 0");
@@ -163,75 +184,79 @@ impl TagStore {
         Ok(())
     }
 
-    /// Writes the ways in the encoding of a `Vec<Vec<{tag, valid, lru}>>`
-    /// (an invalid way as `(0, false, 0)`), then the stamp. Warm snapshots
-    /// stored before the arrays were flat decode unchanged. Each set's
-    /// row is built in one scratch buffer and appended whole.
+    /// Writes the set count, one valid-way count per set, a `(wire tag,
+    /// lru)` pair for each valid way in slot order, then the stamp.
+    /// Invalid ways cost nothing: they are the tail of their set, which
+    /// the count alone describes. Counts and pairs are laid out in one
+    /// buffer and appended whole.
     pub(crate) fn encode(&self, w: &mut ByteWriter, tag: WireTag) {
         w.put_u64(self.sets as u64);
-        let mut row = vec![0u8; 8 + self.ways * WAY_BYTES];
-        row[..8].copy_from_slice(&(self.ways as u64).to_le_bytes());
+        let count = |keys: &[u64]| keys.iter().take_while(|&&k| k != INVALID).count();
+        let valid: usize = self.keys.chunks_exact(self.ways).map(count).sum();
+        let mut buf = vec![0u8; 8 * self.sets + 16 * valid];
+        let (counts, pairs) = buf.split_at_mut(8 * self.sets);
+        let mut pairs = pairs.chunks_exact_mut(16);
+        // The quotient by a power-of-two set count is a shift.
+        let shift = self.set_mask.map(|mask| mask.count_ones());
         let rows = self
             .keys
             .chunks_exact(self.ways)
             .zip(self.lru.chunks_exact(self.ways));
-        for (keys, lru) in rows {
-            for ((way, &key), &lru) in row[8..].chunks_exact_mut(WAY_BYTES).zip(keys).zip(lru) {
-                let (wire, valid, lru) = match (key, tag) {
-                    (INVALID, _) => (0, 0, 0),
-                    (_, WireTag::Key) => (key, 1, lru),
-                    (_, WireTag::Quotient) => (key / self.sets as u64, 1, lru),
+        for ((keys, lru), count_bytes) in rows.zip(counts.chunks_exact_mut(8)) {
+            let n = count(keys);
+            count_bytes.copy_from_slice(&(n as u64).to_le_bytes());
+            for ((&key, &lru), pair) in keys[..n].iter().zip(&lru[..n]).zip(&mut pairs) {
+                let wire = match (tag, shift) {
+                    (WireTag::Key, _) => key,
+                    (WireTag::Quotient, Some(shift)) => key >> shift,
+                    (WireTag::Quotient, None) => key / self.sets as u64,
                 };
-                way[..8].copy_from_slice(&wire.to_le_bytes());
-                way[8] = valid;
-                way[9..].copy_from_slice(&lru.to_le_bytes());
+                pair[..8].copy_from_slice(&wire.to_le_bytes());
+                pair[8..].copy_from_slice(&lru.to_le_bytes());
             }
-            w.put_bytes(&row);
         }
+        w.put_bytes(&buf);
         w.put_u64(self.stamp);
     }
 
     /// Reads what [`TagStore::encode`] wrote for a `sets × ways` store
-    /// (both already validated nonzero). The whole encoding is taken in
-    /// one bounds check before anything is allocated, then parsed set by
-    /// set; every way state the store cannot reach is rejected.
+    /// (both already validated nonzero). A geometry above
+    /// [`MAX_DECODED_WAYS`] is refused first; then the counts and the
+    /// pairs they announce are each taken in one bounds check, all before
+    /// anything is allocated. Every way state the store cannot reach is
+    /// rejected: a count above `ways`, and through [`TagStore::check_set`]
+    /// every per-set invariant. Valid ways fill each set from slot 0, so
+    /// the prefix rule holds by construction.
     pub(crate) fn decode(
         r: &mut ByteReader<'_>,
         sets: usize,
         ways: usize,
         tag: WireTag,
     ) -> Result<Self, CodecError> {
-        let row_bytes = ways
-            .checked_mul(WAY_BYTES)
-            .and_then(|row| row.checked_add(8))
-            .ok_or(CodecError::Invalid("tag store size overflows usize"))?;
-        let wanted = row_bytes
-            .checked_mul(sets)
-            .and_then(|rows| rows.checked_add(16))
-            .ok_or(CodecError::Invalid("tag store size overflows usize"))?;
-        let bytes = r.take(wanted)?;
-        let (head, rest) = bytes.split_at(8);
-        let (rows, stamp) = rest.split_at(rest.len() - 8);
+        if sets.checked_mul(ways).is_none_or(|n| n > MAX_DECODED_WAYS) {
+            return Err(CodecError::Invalid("tag store above the decode ceiling"));
+        }
+        let (head, counts) = r.take(8 * (sets + 1))?.split_at(8);
         if le_u64(head) != sets as u64 {
             return Err(CodecError::Invalid("tag store set shape"));
         }
-        let mut store = TagStore::new(sets, ways);
-        for (set, row) in rows.chunks_exact(row_bytes).enumerate() {
-            if le_u64(&row[..8]) != ways as u64 {
+        let mut valid = 0;
+        for count in counts.chunks_exact(8) {
+            let count = le_u64(count);
+            if count > ways as u64 {
                 return Err(CodecError::Invalid("tag store set shape"));
             }
-            for (slot, way) in (set * ways..).zip(row[8..].chunks_exact(WAY_BYTES)) {
-                let (wire, lru) = (le_u64(&way[..8]), le_u64(&way[9..]));
-                match way[8] {
-                    0 if wire != 0 || lru != 0 => {
-                        return Err(CodecError::Invalid(
-                            "tag store: invalid way with a nonzero tag or lru",
-                        ))
-                    }
-                    0 => continue,
-                    1 => {}
-                    _ => return Err(CodecError::Invalid("bool")),
-                }
+            valid += count as usize;
+        }
+        let (pairs, stamp) = r.take(16 * valid + 8)?.split_at(16 * valid);
+        let mut store = TagStore::new(sets, ways);
+        store.stamp = le_u64(stamp);
+        let mut pairs = pairs.chunks_exact(16);
+        let mut scratch = Vec::with_capacity(ways);
+        for (set, count) in counts.chunks_exact(8).enumerate() {
+            let row = set * ways;
+            for (slot, pair) in (row..row + le_u64(count) as usize).zip(&mut pairs) {
+                let (wire, lru) = (le_u64(&pair[..8]), le_u64(&pair[8..]));
                 let key = match tag {
                     WireTag::Key => wire,
                     WireTag::Quotient => wire
@@ -247,10 +272,6 @@ impl TagStore {
                 store.keys[slot] = key;
                 store.lru[slot] = lru;
             }
-        }
-        store.stamp = le_u64(stamp);
-        let mut scratch = Vec::with_capacity(ways);
-        for set in 0..sets {
             store
                 .check_set(set, &mut scratch)
                 .map_err(CodecError::Invalid)?;
@@ -347,16 +368,17 @@ mod tests {
             evicted
         }
 
+        /// The valid ways' count per set, then their `(tag, lru)` pairs
+        /// in slot order: the layout [`TagStore::encode`] must match.
         fn encode(&self) -> Vec<u8> {
             let mut w = ByteWriter::new();
             w.put_u64(self.sets.len() as u64);
             for set in &self.sets {
-                w.put_u64(set.len() as u64);
-                for way in set {
-                    w.put_u64(way.tag);
-                    w.put_u8(way.valid as u8);
-                    w.put_u64(way.lru);
-                }
+                w.put_u64(set.iter().filter(|way| way.valid).count() as u64);
+            }
+            for way in self.sets.iter().flatten().filter(|way| way.valid) {
+                w.put_u64(way.tag);
+                w.put_u64(way.lru);
             }
             w.put_u64(self.stamp);
             w.into_bytes()
@@ -427,19 +449,25 @@ mod tests {
     const SETS: usize = 4;
     const WAYS: usize = 2;
 
-    /// Offset of way `way` of set `set` in a 4-set, 2-way encoding.
-    fn way_at(set: usize, way: usize) -> usize {
-        8 + set * (8 + WAYS * WAY_BYTES) + 8 + way * WAY_BYTES
+    /// Offset of set `set`'s valid-way count in a 4-set encoding.
+    fn count_at(set: usize) -> usize {
+        8 + 8 * set
     }
 
-    /// A 4 × 2 store with set 1 full (keys 1, 5), set 2 half full (key 2)
-    /// and sets 0 and 3 empty.
+    /// Offset of the `n`th `(tag, lru)` pair in a 4-set encoding.
+    fn pair_at(n: usize) -> usize {
+        8 + 8 * SETS + 16 * n
+    }
+
+    /// A 4 × 2 store with set 1 full (keys 1, 5: pairs 0 and 1), set 2
+    /// half full (key 2: pair 2) and sets 0 and 3 empty; stamp 3.
     fn sample(wire: WireTag) -> Vec<u8> {
         let mut store = TagStore::new(SETS, WAYS);
         for key in [1, 5, 2] {
             store.fill(key);
         }
         let bytes = encode(&store, wire);
+        assert_eq!(bytes.len(), pair_at(3) + 8);
         assert!(decode(&bytes, SETS, WAYS, wire).is_ok());
         bytes
     }
@@ -458,14 +486,14 @@ mod tests {
     #[test]
     fn decode_rejects_a_valid_way_with_lru_zero() {
         let mut bytes = sample(WireTag::Quotient);
-        patch(&mut bytes, way_at(1, 0) + 9, 0);
+        patch(&mut bytes, pair_at(0) + 8, 0);
         rejects(&bytes, WireTag::Quotient, "tag store: valid way with lru 0");
     }
 
     #[test]
     fn decode_rejects_an_lru_ahead_of_the_stamp() {
         let mut bytes = sample(WireTag::Quotient);
-        patch(&mut bytes, way_at(2, 0) + 9, 4);
+        patch(&mut bytes, pair_at(2) + 8, 4);
         rejects(
             &bytes,
             WireTag::Quotient,
@@ -476,17 +504,19 @@ mod tests {
     #[test]
     fn decode_rejects_a_valid_way_with_the_sentinel_tag() {
         let mut bytes = sample(WireTag::Key);
-        patch(&mut bytes, way_at(1, 0), INVALID);
+        patch(&mut bytes, pair_at(0), INVALID);
         rejects(
             &bytes,
             WireTag::Key,
             "tag store: valid way with the sentinel tag",
         );
-        // A quotient tag that lands on the sentinel: (MAX - 3) / 4 in set 3.
+        // A quotient tag that lands on the sentinel: (MAX - 3) / 4 in set
+        // 3, given one valid way there.
         let mut bytes = sample(WireTag::Quotient);
-        patch(&mut bytes, way_at(3, 0), (INVALID - 3) / 4);
-        bytes[way_at(3, 0) + 8] = 1;
-        patch(&mut bytes, way_at(3, 0) + 9, 1);
+        patch(&mut bytes, count_at(3), 1);
+        let mut pair = ((INVALID - 3) / 4).to_le_bytes().to_vec();
+        pair.extend_from_slice(&1u64.to_le_bytes());
+        bytes.splice(pair_at(3)..pair_at(3), pair);
         rejects(
             &bytes,
             WireTag::Quotient,
@@ -495,24 +525,35 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_an_invalid_way_that_is_not_zeroed() {
-        for (offset, wire) in [(0, WireTag::Quotient), (9, WireTag::Key)] {
+    fn decode_rejects_a_count_above_ways() {
+        for wire in [WireTag::Quotient, WireTag::Key] {
             let mut bytes = sample(wire);
-            patch(&mut bytes, way_at(2, 1) + offset, 7);
-            rejects(
-                &bytes,
-                wire,
-                "tag store: invalid way with a nonzero tag or lru",
-            );
+            patch(&mut bytes, count_at(2), WAYS as u64 + 1);
+            rejects(&bytes, wire, "tag store set shape");
         }
+    }
+
+    #[test]
+    fn check_set_rejects_an_invalid_way_before_a_valid_one() {
+        // Decode fills each set from slot 0, so no bytes can say this;
+        // the rule guards the fills instead.
+        let mut store = TagStore::new(SETS, WAYS);
+        store.fill(2);
+        let row = 2 * WAYS;
+        store.keys.swap(row, row + 1);
+        store.lru.swap(row, row + 1);
+        assert_eq!(
+            store.check_set(2, &mut Vec::new()),
+            Err("tag store: invalid way before a valid one")
+        );
     }
 
     #[test]
     fn decode_rejects_a_tag_repeated_in_a_set() {
         for wire in [WireTag::Quotient, WireTag::Key] {
             let mut bytes = sample(wire);
-            let first = bytes[way_at(1, 0)..way_at(1, 0) + 8].to_vec();
-            bytes[way_at(1, 1)..way_at(1, 1) + 8].copy_from_slice(&first);
+            let first = bytes[pair_at(0)..pair_at(0) + 8].to_vec();
+            bytes[pair_at(1)..pair_at(1) + 8].copy_from_slice(&first);
             rejects(&bytes, wire, "tag store: tag repeated in a set");
         }
     }
@@ -521,47 +562,75 @@ mod tests {
     fn decode_rejects_a_tag_outside_its_set() {
         // A whole VPN that belongs to set 0, written in set 1.
         let mut bytes = sample(WireTag::Key);
-        patch(&mut bytes, way_at(1, 0), 8);
+        patch(&mut bytes, pair_at(0), 8);
         rejects(&bytes, WireTag::Key, "tag store: tag outside its set");
         // A quotient tag whose key overflows u64.
         let mut bytes = sample(WireTag::Quotient);
-        patch(&mut bytes, way_at(1, 0), u64::MAX / 2);
+        patch(&mut bytes, pair_at(0), u64::MAX / 2);
         rejects(&bytes, WireTag::Quotient, "tag store: tag outside its set");
     }
 
     #[test]
-    fn decode_rejects_a_wrong_shape_and_a_bad_valid_flag() {
+    fn decode_rejects_a_wrong_set_count() {
         let mut bytes = sample(WireTag::Key);
-        patch(&mut bytes, 8 + (8 + WAYS * WAY_BYTES), 1);
+        patch(&mut bytes, 0, SETS as u64 + 1);
         rejects(&bytes, WireTag::Key, "tag store set shape");
-        let mut bytes = sample(WireTag::Key);
-        bytes[way_at(0, 0) + 8] = 2;
-        rejects(&bytes, WireTag::Key, "bool");
     }
 
     #[test]
     fn decode_checks_the_byte_count_before_allocating() {
         let bytes = sample(WireTag::Quotient);
-        for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
+        // Cut inside the set count or the counts: the first take (40
+        // bytes) comes up short. Cut inside the pairs or the stamp: the
+        // second (three pairs and the stamp, 56 bytes) does.
+        let counts = pair_at(0);
+        for cut in [0, 8, counts - 1] {
             assert_eq!(
                 decode(&bytes[..cut], SETS, WAYS, WireTag::Quotient).err(),
                 Some(CodecError::ShortRead {
-                    wanted: bytes.len(),
+                    wanted: counts,
                     available: cut
                 })
             );
         }
-        // 2^34 sets would need terabytes of keys; the count check refuses
-        // before anything is allocated.
-        let huge = decode(&bytes, 1 << 34, 1, WireTag::Key).err();
+        for cut in [counts, pair_at(1) + 3, bytes.len() - 1] {
+            assert_eq!(
+                decode(&bytes[..cut], SETS, WAYS, WireTag::Quotient).err(),
+                Some(CodecError::ShortRead {
+                    wanted: bytes.len() - counts,
+                    available: cut - counts
+                })
+            );
+        }
+        // Counts that announce more pairs than follow: the pair span is
+        // taken whole, so the shortfall shows before any way is read.
+        let mut inflated = bytes.clone();
+        patch(&mut inflated, count_at(0), 2);
+        assert_eq!(
+            decode(&inflated, SETS, WAYS, WireTag::Quotient).err(),
+            Some(CodecError::ShortRead {
+                wanted: 5 * 16 + 8,
+                available: bytes.len() - counts
+            })
+        );
+        // 2^26 sets, at the ceiling, need 512 MiB of counts alone; the
+        // count check refuses before anything is allocated.
+        let huge = decode(&bytes, MAX_DECODED_WAYS, 1, WireTag::Key).err();
         assert!(
-            matches!(huge, Some(CodecError::ShortRead { wanted, .. }) if wanted > 1 << 38),
+            matches!(huge, Some(CodecError::ShortRead { wanted, .. }) if wanted > 1 << 29),
             "{huge:?}"
         );
-        assert_eq!(
-            decode(&bytes, usize::MAX, 2, WireTag::Key).err(),
-            Some(CodecError::Invalid("tag store size overflows usize"))
-        );
+        // Above the ceiling, and past usize, the geometry alone refuses.
+        for (sets, ways) in [
+            (MAX_DECODED_WAYS + 1, 1),
+            (1, MAX_DECODED_WAYS + 1),
+            (usize::MAX, 2),
+        ] {
+            assert_eq!(
+                decode(&bytes, sets, ways, WireTag::Key).err(),
+                Some(CodecError::Invalid("tag store above the decode ceiling"))
+            );
+        }
     }
 
     #[test]

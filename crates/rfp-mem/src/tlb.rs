@@ -156,6 +156,11 @@ impl DataTlb {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.dtlb.tags.heap_bytes() + self.stlb.tags.heap_bytes()
     }
+
+    #[cfg(test)]
+    pub(crate) fn tag_stores(&self) -> [&TagStore; 2] {
+        [&self.dtlb.tags, &self.stlb.tags]
+    }
 }
 
 mod codec_impls {

@@ -94,10 +94,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<MicroOp>, TraceParseError> {
         let op = match kind {
             "A" | "F" => {
                 let pc = parse_pc(&mut tok, lineno)?;
-                let lat = parse_num(&mut tok, lineno, "latency")? as u8;
-                if lat == 0 {
-                    return Err(TraceParseError::new(lineno, "latency must be nonzero"));
-                }
+                let lat = parse_u8_in(&mut tok, lineno, "latency", 1, u8::MAX)?;
                 let srcs = parse_regs(&mut tok, lineno)?;
                 let dst = parse_opt_reg(&mut tok, lineno)?;
                 if kind == "A" {
@@ -247,6 +244,22 @@ fn parse_num<'a>(
     parse_u64(next_tok(tok, line, what)?, line, what)
 }
 
+/// Parses a number and checks it lies in `lo..=hi` before narrowing it,
+/// so an out-of-range value is named, never truncated.
+fn parse_u8_in<'a>(
+    tok: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+    what: &str,
+    lo: u8,
+    hi: u8,
+) -> Result<u8, TraceParseError> {
+    let v = parse_num(tok, line, what)?;
+    u8::try_from(v)
+        .ok()
+        .filter(|n| (lo..=hi).contains(n))
+        .ok_or_else(|| TraceParseError::new(line, format!("{what} must be {lo}..={hi}, got {v}")))
+}
+
 fn parse_reg(s: &str, line: usize) -> Result<ArchReg, TraceParseError> {
     let n = s
         .strip_prefix('r')
@@ -294,10 +307,7 @@ fn parse_mem<'a>(
     line: usize,
 ) -> Result<MemRef, TraceParseError> {
     let addr = Addr::new(parse_num(tok, line, "address")?);
-    let size = parse_num(tok, line, "size")? as u8;
-    if size == 0 || size > 64 {
-        return Err(TraceParseError::new(line, "size must be 1..=64"));
-    }
+    let size = parse_u8_in(tok, line, "size", 1, 64)?;
     let value = parse_num(tok, line, "value")?;
     Ok(MemRef { addr, size, value })
 }
@@ -374,6 +384,26 @@ mod tests {
         assert!(parse_trace("A 0x10 1 r64 -\n").is_err());
         assert!(parse_trace("L 0x10 r1 r2 0x1000 0 0\n").is_err());
         assert!(parse_trace("L 0x10 r1 r2 0x1000 128 0\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_named_not_truncated() {
+        for (line, why) in [
+            ("A 0x10 300 - r1", "latency must be 1..=255, got 300"),
+            ("A 0x10 256 - r1", "latency must be 1..=255, got 256"),
+            ("A 0x10 0 - r1", "latency must be 1..=255, got 0"),
+            (
+                "L 0x20 r1 r2 0x1000 264 0x5",
+                "size must be 1..=64, got 264",
+            ),
+        ] {
+            let err = parse_trace(line).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("trace parse error at line 1: {why}")
+            );
+        }
+        assert!(parse_trace("A 0x10 255 - r1\nL 0x20 r1 r2 0x1000 64 0x5\n").is_ok());
     }
 
     #[test]

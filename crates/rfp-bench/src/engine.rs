@@ -284,8 +284,10 @@ pub struct WarmPoolStats {
     pub transplants: u64,
     /// Workload traces synthesized (first touch + post-eviction rebuilds).
     pub trace_builds: u64,
-    /// Snapshots currently held live.
+    /// Snapshot cells currently held live.
     pub live_snapshots: usize,
+    /// The most snapshot cells held at once over the pool's life.
+    pub peak_live_snapshots: usize,
     /// Approximate host bytes held by live snapshots.
     pub live_snapshot_bytes: usize,
 }
@@ -299,12 +301,14 @@ impl WarmPoolStats {
             "{{\"warm_pool\":{{\"schema\":{TELEMETRY_SCHEMA_VERSION},\
              \"mode\":\"{mode}\",\"snapshot_hits\":{},\
              \"snapshot_misses\":{},\"transplants\":{},\"trace_builds\":{},\
-             \"live_snapshots\":{},\"live_snapshot_bytes\":{}}}}}\n",
+             \"live_snapshots\":{},\"peak_live_snapshots\":{},\
+             \"live_snapshot_bytes\":{}}}}}\n",
             self.snapshot_hits,
             self.snapshot_misses,
             self.transplants,
             self.trace_builds,
             self.live_snapshots,
+            self.peak_live_snapshots,
             self.live_snapshot_bytes,
         )
     }
@@ -317,10 +321,12 @@ impl WarmPoolStats {
 ///
 /// Snapshots are built lazily inside a per-cell `OnceLock`, so two
 /// workers racing to the same cell build it exactly once and one of them
-/// forks. Traces and unpinned snapshots are evicted as soon as every
-/// config in the running grid has finished a workload; pinned keys
-/// (see [`WarmPool::pin_config`]) survive for follow-up grids — the
-/// observability passes fork the same snapshots the plain sweep built.
+/// forks. An unpinned snapshot is dropped as soon as the last grid job
+/// that forks it finishes, and a workload's trace and sample plan as soon
+/// as every config in the running grid has finished that workload;
+/// pinned keys (see [`WarmPool::pin_config`]) survive for follow-up
+/// grids — the observability passes fork the same snapshots the plain
+/// sweep built.
 pub struct WarmPool {
     mode: WarmMode,
     sim: SimMode,
@@ -343,6 +349,7 @@ pub struct WarmPool {
     plans: Mutex<HashMap<usize, Arc<SamplePlan>>>,
     #[allow(clippy::type_complexity)]
     snapshots: Mutex<HashMap<(u64, usize), Arc<OnceLock<Arc<WarmState>>>>>,
+    peak_snapshots: AtomicUsize,
     snapshot_hits: AtomicU64,
     snapshot_misses: AtomicU64,
     transplants: AtomicU64,
@@ -382,6 +389,7 @@ impl WarmPool {
             traces: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(HashMap::new()),
+            peak_snapshots: AtomicUsize::new(0),
             snapshot_hits: AtomicU64::new(0),
             snapshot_misses: AtomicU64::new(0),
             transplants: AtomicU64::new(0),
@@ -432,7 +440,7 @@ impl WarmPool {
 
     /// Marks `cfg`'s snapshot keys as pinned: its snapshots are built
     /// even if the key appears only once in a grid, and survive
-    /// end-of-workload eviction so later grids (the observability
+    /// their last fork so later grids (the observability
     /// re-runs) fork them instead of re-warming.
     pub fn pin_config(&self, cfg: &CoreConfig) {
         let mut pinned = self.pinned.lock().expect("pinned lock");
@@ -457,6 +465,7 @@ impl WarmPool {
             transplants: self.transplants.load(Ordering::Relaxed),
             trace_builds: self.trace_builds.load(Ordering::Relaxed),
             live_snapshots: snaps.len(),
+            peak_live_snapshots: self.peak_snapshots.load(Ordering::Relaxed),
             live_snapshot_bytes,
         }
     }
@@ -554,7 +563,10 @@ impl WarmPool {
     ) -> Arc<WarmState> {
         let cell = {
             let mut snaps = self.snapshots.lock().expect("snapshot lock");
-            Arc::clone(snaps.entry((key, wi)).or_default())
+            let cell = Arc::clone(snaps.entry((key, wi)).or_default());
+            self.peak_snapshots
+                .fetch_max(snaps.len(), Ordering::Relaxed);
+            cell
         };
         let mut built = false;
         let state = cell.get_or_init(|| {
@@ -652,15 +664,21 @@ impl WarmPool {
         snap.resume_probed(rest, probe)
     }
 
-    /// Drops `suite[wi]`'s trace and unpinned snapshots — called when the
-    /// last in-flight grid job for that workload finishes, bounding the
-    /// pool's footprint to roughly one workload band.
+    /// Drops the `(key, wi)` snapshot unless `key` is pinned — called
+    /// when the last grid job that forks it finishes, so a snapshot lives
+    /// only as long as its forks.
+    fn release_snapshot(&self, key: u64, wi: usize) {
+        if !self.pinned.lock().expect("pinned lock").contains(&key) {
+            self.snapshots
+                .lock()
+                .expect("snapshot lock")
+                .remove(&(key, wi));
+        }
+    }
+
+    /// Drops `suite[wi]`'s trace and sample plan — called when the last
+    /// in-flight grid job for that workload finishes.
     fn evict_workload(&self, wi: usize) {
-        let pinned = self.pinned.lock().expect("pinned lock");
-        let mut snaps = self.snapshots.lock().expect("snapshot lock");
-        snaps.retain(|(key, w), _| *w != wi || pinned.contains(key));
-        drop(snaps);
-        drop(pinned);
         self.traces.lock().expect("trace lock").remove(&wi);
         self.plans.lock().expect("plan lock").remove(&wi);
     }
@@ -676,11 +694,24 @@ struct JobPlan {
     /// Whether a snapshot is worth building: its sharing key occurs at
     /// least twice in the grid, or is pinned.
     worthy: bool,
+    /// Index of the config's sharing key among the grid's distinct keys,
+    /// numbered in order of first appearance.
+    group: usize,
 }
 
-fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
+impl JobPlan {
+    /// The key of the snapshot the job forks, if it forks one: the twin's
+    /// under sampling, else its own.
+    fn share(&self) -> u64 {
+        self.twin.as_ref().map_or(self.exact, |(k, _)| *k)
+    }
+}
+
+/// Per-config fork plans, and the number of configs in each sharing
+/// group (indexed by [`JobPlan::group`]).
+fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> (Vec<JobPlan>, Vec<usize>) {
     let pinned = pool.pinned.lock().expect("pinned lock");
-    let plans: Vec<JobPlan> = configs
+    let mut plans: Vec<JobPlan> = configs
         .iter()
         .map(|cfg| {
             let exact = warm_key(cfg);
@@ -695,6 +726,7 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
                 exact,
                 twin,
                 worthy: false,
+                group: 0,
             }
         })
         .collect();
@@ -704,19 +736,19 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> Vec<JobPlan> {
     // sweeps, and a persisted snapshot turns a singleton job's warmup
     // into one disk read. (Byte-identity is unaffected — the fork path
     // is exact by construction.)
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for p in &plans {
-        let share = p.twin.as_ref().map_or(p.exact, |(k, _)| *k);
-        *counts.entry(share).or_insert(0) += 1;
+    let mut groups: HashMap<u64, usize> = HashMap::new();
+    let mut sizes: Vec<usize> = Vec::new();
+    for p in &mut plans {
+        p.group = *groups.entry(p.share()).or_insert_with(|| {
+            sizes.push(0);
+            sizes.len() - 1
+        });
+        sizes[p.group] += 1;
     }
-    plans
-        .into_iter()
-        .map(|mut p| {
-            let share = p.twin.as_ref().map_or(p.exact, |(k, _)| *k);
-            p.worthy = counts[&share] >= 2 || pinned.contains(&share) || pool.store.is_some();
-            p
-        })
-        .collect()
+    for p in &mut plans {
+        p.worthy = sizes[p.group] >= 2 || pinned.contains(&p.share()) || pool.store.is_some();
+    }
+    (plans, sizes)
 }
 
 /// Runs one `(config, workload)` job through the pool, returning the
@@ -1006,9 +1038,12 @@ pub struct GridOutcome {
 /// The job grid is `(config, workload)` pairs; a shared atomic index
 /// hands the next job to whichever worker frees up first. Jobs are
 /// claimed in *workload-major* order — all configs of workload 0, then
-/// workload 1 — so the jobs that share a snapshot run close together and
-/// the pool can evict each workload's band as soon as its last job
-/// retires. Reports land in config-major grid positions and each
+/// workload 1 — and within a workload grouped by sharing key (groups in
+/// order of first appearance, config order within a group), so the forks
+/// of one snapshot run back to back. The pool drops each snapshot when
+/// its last fork finishes, and a workload's trace when its last job
+/// does, so a sweep holds about one snapshot per worker. Reports land in
+/// config-major grid positions and each
 /// simulation is internally seeded, so output is byte-identical at every
 /// thread count (see `tests/parallel_determinism.rs`).
 ///
@@ -1031,11 +1066,21 @@ pub fn run_grid(
             telemetry: Vec::new(),
         };
     }
-    let plans = plan_jobs(pool, configs);
+    let (plans, group_sizes) = plan_jobs(pool, configs);
+    let n_groups = group_sizes.len();
+    // Claim order within a workload; `sort_by_key` is stable, so configs
+    // keep their order within a group.
+    let mut order: Vec<usize> = (0..n_configs).collect();
+    order.sort_by_key(|&ci| plans[ci].group);
     let threads = threads.clamp(1, n_jobs);
     let next = AtomicUsize::new(0);
     let remaining: Vec<AtomicUsize> = (0..n_workloads)
         .map(|_| AtomicUsize::new(n_configs))
+        .collect();
+    // Jobs left per `(workload, group)` cell: the forks its snapshot
+    // still has to serve.
+    let forks_left: Vec<AtomicUsize> = (0..n_workloads)
+        .flat_map(|_| group_sizes.iter().map(|&n| AtomicUsize::new(n)))
         .collect();
 
     let per_worker: Vec<Vec<(SimReport, JobTelemetry)>> = std::thread::scope(|s| {
@@ -1044,7 +1089,9 @@ pub fn run_grid(
                 let next = &next;
                 let suite = &suite;
                 let plans = &plans;
+                let order = &order;
                 let remaining = &remaining;
+                let forks_left = &forks_left;
                 s.spawn(move || {
                     let mut done = Vec::new();
                     loop {
@@ -1052,10 +1099,10 @@ pub fn run_grid(
                         if claim >= n_jobs {
                             break;
                         }
-                        // Workload-major claim order; config-major grid
-                        // position (what slot reduction and telemetry
-                        // sorting key on).
-                        let (wi, ci) = (claim / n_configs, claim % n_configs);
+                        // Workload-major, group-ordered claim order;
+                        // config-major grid position (what slot reduction
+                        // and telemetry sorting key on).
+                        let (wi, ci) = (claim / n_configs, order[claim % n_configs]);
                         let job = ci * n_workloads + wi;
                         let t0 = Instant::now();
                         let lane = worker as u32 + 1;
@@ -1155,10 +1202,15 @@ pub fn run_grid(
                                 s0,
                             );
                         }
-                        if (pool.mode() != WarmMode::Off || pool.sim() == SimMode::Sample)
-                            && remaining[wi].fetch_sub(1, Ordering::AcqRel) == 1
-                        {
-                            pool.evict_workload(wi);
+                        if pool.mode() != WarmMode::Off || pool.sim() == SimMode::Sample {
+                            let plan = &plans[ci];
+                            let forks = &forks_left[wi * n_groups + plan.group];
+                            if forks.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                pool.release_snapshot(plan.share(), wi);
+                            }
+                            if remaining[wi].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                pool.evict_workload(wi);
+                            }
                         }
                         done.push((
                             report,
@@ -1242,7 +1294,7 @@ pub fn run_grid(
 /// telemetry lines and the `warm_pool`/`store` summary blocks appended
 /// to `--telemetry-out` streams. Bump whenever a field is added,
 /// removed or reinterpreted.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Renders job telemetry as JSONL (one object per line), ready for
 /// `--telemetry-out` or ad-hoc analysis with `jq`. Workload names pass
@@ -1387,7 +1439,7 @@ mod tests {
         let s = telemetry_jsonl(&rows);
         assert_eq!(
             s,
-            "{\"schema\":1,\"job\":3,\"config\":1,\"workload\":\"w\\\"x\",\"worker\":0,\
+            "{\"schema\":2,\"job\":3,\"config\":1,\"workload\":\"w\\\"x\",\"worker\":0,\
              \"queue_depth\":7,\"wall_nanos\":42,\"warm\":\"fork\",\
              \"store\":\"hit\",\"store_bytes_read\":9,\"store_bytes_written\":0}\n"
         );
@@ -1467,6 +1519,33 @@ mod tests {
         assert_eq!(stats.snapshot_hits, n as u64, "one fork per workload");
         assert_eq!(stats.live_snapshots, 0, "bands evicted as they finish");
         assert!(stats.trace_builds >= n as u64);
+    }
+
+    #[test]
+    fn a_snapshot_is_dropped_after_its_last_fork() {
+        // A and B share a warm key, and so do C and D: each pair differs
+        // only by seed, which the projection normalizes. Listed as
+        // [A, C, B, D], the grid still claims A, B, C, D per workload, so
+        // one worker holds one snapshot at a time.
+        let a = CoreConfig::tiger_lake();
+        let c = CoreConfig::tiger_lake().with_rfp();
+        let (mut b, mut d) = (a.clone(), c.clone());
+        b.seed ^= 0x5eed;
+        d.seed ^= 0x5eed;
+        let configs = [a, c, b, d];
+        let pool = WarmPool::new(WarmMode::Exact, 300);
+        let exact = run_grid(&pool, &configs, 1, false);
+        let stats = pool.stats();
+        let n = rfp_trace::suite().len() as u64;
+        assert_eq!((stats.snapshot_misses, stats.snapshot_hits), (2 * n, 2 * n));
+        assert_eq!(
+            stats.peak_live_snapshots, 1,
+            "a snapshot outlived its forks"
+        );
+        assert_eq!(stats.live_snapshots, 0);
+        assert!(exact.telemetry.iter().all(|t| t.warm == "fork"));
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &configs, 1, false);
+        assert_eq!(exact.reports, off.reports);
     }
 
     #[test]

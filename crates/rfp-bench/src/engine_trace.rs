@@ -140,6 +140,7 @@ mod tests {
             transplants: 0,
             trace_builds: 1,
             live_snapshots: 0,
+            peak_live_snapshots: 0,
             live_snapshot_bytes: 0,
         }
     }

@@ -34,7 +34,9 @@
 //! fresh result overwrites the bad entry. Writes go through a unique
 //! `.tmp` file and an atomic rename, so concurrent writers (including
 //! separate processes sharing one store) race idempotently: every writer
-//! of a given key produces byte-identical content.
+//! of a given key produces byte-identical content. A `.tmp` file is named
+//! `<digest>.tmp.<pid>.<seq>` after its writer; one whose writer died
+//! before the rename is an orphan, which [`ExpStore::gc`] removes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,6 +146,9 @@ pub struct TierUsage {
     pub entries: u64,
     /// Total bytes across those entries.
     pub bytes: u64,
+    /// `.tmp.*` files: writes in flight, or orphans of killed writers.
+    /// Their bytes are not in `bytes`.
+    pub tmp_files: u64,
 }
 
 /// A content-addressed on-disk store rooted at a directory (usually
@@ -354,6 +359,10 @@ impl ExpStore {
                 continue;
             };
             for e in dir.flatten() {
+                if is_tmp(&e.file_name().to_string_lossy()) {
+                    usage[i].tmp_files += 1;
+                    continue;
+                }
                 if e.path().extension().is_none_or(|x| x != "bin") {
                     continue;
                 }
@@ -366,14 +375,25 @@ impl ExpStore {
         usage
     }
 
-    /// Evicts least-recently-used entries (by mtime, which hits refresh)
-    /// until total usage is at most `max_bytes`. Returns
+    /// Removes every tier's orphaned `.tmp` files (see [`orphaned`]),
+    /// then evicts least-recently-used entries (by mtime, which hits
+    /// refresh) until total usage is at most `max_bytes`. Returns
     /// `(entries_evicted, bytes_evicted)`. The history ledger is records,
     /// not cache: its entries neither count toward the budget nor get
     /// evicted unless `include_history` is set (`store gc
     /// --include-history`), so LRU pressure can never silently eat the
     /// run trajectory.
     pub fn gc(&self, max_bytes: u64, include_history: bool) -> (u64, u64) {
+        for tier in Tier::ALL {
+            let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
+                continue;
+            };
+            for e in dir.flatten() {
+                if orphaned(&e.file_name().to_string_lossy()) {
+                    let _ = std::fs::remove_file(e.path());
+                }
+            }
+        }
         let mut entries = self.entries(include_history);
         let mut total: u64 = entries.iter().map(|(_, n, _)| n).sum();
         entries.sort_by_key(|(_, _, mtime)| *mtime);
@@ -403,7 +423,7 @@ impl ExpStore {
             let name = e.file_name();
             let name = name.to_string_lossy();
             let entry = name.ends_with(".bin");
-            if !entry && !name.contains(".tmp.") {
+            if !entry && !is_tmp(&name) {
                 continue;
             }
             if std::fs::remove_file(e.path()).is_ok() && entry {
@@ -417,6 +437,28 @@ impl ExpStore {
     pub fn clear(&self) -> u64 {
         Tier::ALL.iter().map(|&t| self.clear_tier(t)).sum()
     }
+}
+
+/// Whether `name` is a writer's `.tmp` file (`<digest>.tmp.<pid>.<seq>`).
+fn is_tmp(name: &str) -> bool {
+    name.contains(".tmp.")
+}
+
+/// Whether `name` is a `.tmp` file whose writer is gone: `/proc` exists
+/// and has no entry for the pid in the name. Without `/proc` nothing
+/// counts as orphaned, so a live writer's file is never removed.
+fn orphaned(name: &str) -> bool {
+    let Some((pid, seq)) = name
+        .split_once(".tmp.")
+        .and_then(|(_, rest)| rest.split_once('.'))
+    else {
+        return false;
+    };
+    let proc = Path::new("/proc");
+    pid.parse::<u32>().is_ok()
+        && seq.parse::<u64>().is_ok()
+        && proc.is_dir()
+        && !proc.join(pid).exists()
 }
 
 /// Outcome of verifying one on-disk entry against a lookup key.
@@ -547,26 +589,24 @@ pub fn trace_key(total: u64, measured_from: u64, interval: u64, workload: &str) 
     )
 }
 
-/// Renders `experiments store stats` for `store`: per-tier entry counts
-/// and bytes, deterministic layout.
+/// Renders `experiments store stats` for `store`: per-tier entry counts,
+/// bytes and `.tmp` files, deterministic layout.
 pub fn render_store_stats(store: &ExpStore) -> String {
-    let usage = store.disk_stats();
+    let row = |name: &str, u: &TierUsage| {
+        format!(
+            "  {name:<8} {:>8} entries  {:>12} bytes  {:>6} tmp\n",
+            u.entries, u.bytes, u.tmp_files
+        )
+    };
     let mut out = format!("store root: {}\n", store.root().display());
-    let (mut entries, mut bytes) = (0, 0);
-    for (tier, u) in Tier::ALL.iter().zip(usage) {
-        out.push_str(&format!(
-            "  {:<8} {:>8} entries  {:>12} bytes\n",
-            tier.dir(),
-            u.entries,
-            u.bytes
-        ));
-        entries += u.entries;
-        bytes += u.bytes;
+    let mut total = TierUsage::default();
+    for (tier, u) in Tier::ALL.iter().zip(store.disk_stats()) {
+        out.push_str(&row(tier.dir(), &u));
+        total.entries += u.entries;
+        total.bytes += u.bytes;
+        total.tmp_files += u.tmp_files;
     }
-    out.push_str(&format!(
-        "  {:<8} {entries:>8} entries  {bytes:>12} bytes\n",
-        "total"
-    ));
+    out.push_str(&row("total", &total));
     out
 }
 
@@ -836,6 +876,32 @@ mod tests {
             .map(|e| e.file_name())
             .collect();
         assert!(left.is_empty(), "left behind: {left:?}");
+    }
+
+    #[test]
+    fn gc_reaps_the_tmp_files_of_dead_writers_only() {
+        let s = Scratch::new("gc-orphans");
+        let store = &s.0;
+        store.put(Tier::Warm, "k", &1u64);
+        let entry = store.entry_path(Tier::Warm, "k");
+        // Linux caps pid_max at 2^22, so no process has this pid.
+        let dead = entry.with_extension(format!("tmp.{}.0", 1u32 << 23));
+        let live = entry.with_extension(format!("tmp.{}.0", std::process::id()));
+        std::fs::write(&dead, b"partial").expect("plant");
+        std::fs::write(&live, b"in flight").expect("plant");
+        let counts = |st: &ExpStore| {
+            let usage = st.disk_stats();
+            let sum = |f: fn(&TierUsage) -> u64| usage.iter().map(f).sum::<u64>();
+            (sum(|u| u.entries), sum(|u| u.tmp_files))
+        };
+        assert_eq!(counts(store), (1, 2));
+        assert!(render_store_stats(store).contains("2 tmp"));
+        assert_eq!(store.gc(u64::MAX, false), (0, 0), "no entry is over budget");
+        assert!(live.exists(), "a live writer's file survives");
+        // Without /proc no writer can be shown dead, so nothing goes.
+        let reaped = Path::new("/proc").is_dir();
+        assert_eq!(dead.exists(), !reaped);
+        assert_eq!(counts(store), (1, if reaped { 1 } else { 2 }));
     }
 
     #[test]

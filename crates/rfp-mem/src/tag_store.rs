@@ -12,13 +12,16 @@
 //! way's stamp is at least 1 and at most the store's `stamp`, which counts
 //! every access and fill. Replacement is exact LRU: the victim is the
 //! first way with the smallest stamp, so the first invalid way when there
-//! is one. A fill scans its set once, tracking that victim as it looks
-//! for the key, and stops early only when the key is already present.
+//! is one.
 //!
 //! Nothing invalidates a way, and a fill only ever takes the first
-//! invalid way, so in every set the valid ways are a prefix. The wire
-//! format rests on that: a set is its valid-way count and one
-//! `(tag, lru)` pair per valid way, and a snapshot costs what it holds.
+//! invalid way, so in every set the valid ways are a prefix. Scans rest
+//! on that: a lookup stops at the first invalid way, since no key lies
+//! beyond it, and a fill that reaches one takes it as its victim and
+//! stops. A fill into a full set scans it once, tracking the LRU victim
+//! as it looks for the key. The wire format rests on it too: a set is its
+//! valid-way count and one `(tag, lru)` pair per valid way, and a
+//! snapshot costs what it holds.
 
 use rfp_types::codec::{ByteReader, ByteWriter, CodecError};
 
@@ -89,7 +92,8 @@ impl TagStore {
         let row = self.row(key);
         self.stamp += 1;
         // One scan finds the key or, failing that, the victim: the first
-        // way with the smallest stamp (strict `<` keeps the earliest).
+        // invalid way, which ends the valid prefix, or else the first way
+        // with the smallest stamp (strict `<` keeps the earliest).
         let now = self.stamp;
         let keys = &self.keys[row..row + self.ways];
         let lru = &mut self.lru[row..row + self.ways];
@@ -98,6 +102,10 @@ impl TagStore {
             if k == key {
                 lru[i] = now;
                 return None;
+            }
+            if k == INVALID {
+                victim = i;
+                break;
             }
             if lru[i] < lru[victim] {
                 victim = i;
@@ -137,11 +145,14 @@ impl TagStore {
         set as usize * self.ways
     }
 
+    /// The slot holding `key` in the set starting at `row`. The scan
+    /// ends at the first invalid way: the valid ways are a prefix.
     fn find(&self, row: usize, key: u64) -> Option<usize> {
-        self.keys[row..row + self.ways]
-            .iter()
-            .position(|&k| k == key)
-            .map(|i| row + i)
+        let i = row
+            + self.keys[row..row + self.ways]
+                .iter()
+                .position(|&k| k == key || k == INVALID)?;
+        (self.keys[i] == key).then_some(i)
     }
 
     /// The per-set invariants: the valid ways are a prefix of the set; an

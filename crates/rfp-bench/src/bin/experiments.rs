@@ -80,9 +80,9 @@ use std::sync::Arc;
 use rfp_bench::{
     die, diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
     read_or_die, render_history_list, render_history_show, render_report, render_store_stats,
-    sampling_error_report_json, take_bare, take_count, take_flag, telemetry_jsonl,
-    trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores, ExpStore,
-    Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
+    sampling_error_report_json, sweep_shares_snapshot, take_bare, take_count, take_flag,
+    telemetry_jsonl, trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores,
+    ExpStore, Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
     DEFAULT_TRACE_LEN, KNOBS,
 };
 use rfp_core::{CoreConfig, OracleMode};
@@ -629,7 +629,15 @@ fn main() {
     let t0 = std::time::Instant::now();
     // Observability passes re-simulate the RFP configs with probes
     // attached; pinning their warm snapshots now lets those passes fork
-    // the warmup the main sweep already paid.
+    // the warmup the main sweep already paid — when the main sweep plans
+    // a config that forks the same snapshot. Otherwise the pin would
+    // only keep the observability pass's own capture alive.
+    let planned: Vec<CoreConfig> = ids.iter().flat_map(|id| Harness::plan(id)).collect();
+    let pin = |cfg: &CoreConfig| {
+        if sweep_shares_snapshot(env.sim, &planned, cfg) {
+            h.pin_config(cfg);
+        }
+    };
     let rfp_cfg = CoreConfig::tiger_lake().with_rfp();
     if metrics_out.is_some()
         || profile_out.is_some()
@@ -639,17 +647,18 @@ fn main() {
         || ids.contains(&"profile")
         || ids.contains(&"timeliness")
     {
-        h.pin_config(&rfp_cfg);
+        pin(&rfp_cfg);
     }
-    if metrics_out.is_some() || ids.contains(&"timeliness") {
+    if ids.contains(&"timeliness") {
+        // Only `timeliness` runs the dedicated-port config.
         let mut dedicated = rfp_cfg.clone();
         dedicated.ports.dedicated_rfp = dedicated.ports.load_ports;
-        h.pin_config(&dedicated);
+        pin(&dedicated);
     }
     if ids.contains(&"cpi") {
-        h.pin_config(&CoreConfig::tiger_lake());
-        h.pin_config(&rfp_cfg);
-        h.pin_config(&CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf));
+        pin(&CoreConfig::tiger_lake());
+        pin(&rfp_cfg);
+        pin(&CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf));
     }
     // Fill the cache with every config the requested experiments need in
     // one work-stealing grid, so the whole machine stays busy instead of

@@ -271,6 +271,26 @@ pub fn warm_twin(cfg: &CoreConfig) -> CoreConfig {
     warm_projection(&c)
 }
 
+/// The key of the snapshot a grid job under `cfg` forks: its
+/// [`warm_key`] at full fidelity, its [`warm_twin`]'s key under
+/// [`SimMode::Sample`].
+fn share_key(sim: SimMode, cfg: &CoreConfig) -> u64 {
+    match sim {
+        SimMode::Full => warm_key(cfg),
+        SimMode::Sample => config_key(&warm_twin(cfg)),
+    }
+}
+
+/// Whether a grid over `planned` forks the snapshot a later grid over
+/// `cfg` would fork — the test to pass before pinning `cfg`
+/// ([`WarmPool::pin_config`]). A pin the sweep does not build a snapshot
+/// for only makes that later grid capture one of its own and keep it
+/// for the life of the pool.
+pub fn sweep_shares_snapshot(sim: SimMode, planned: &[CoreConfig], cfg: &CoreConfig) -> bool {
+    let key = share_key(sim, cfg);
+    planned.iter().any(|p| share_key(sim, p) == key)
+}
+
 /// Counter snapshot of a [`WarmPool`] (see [`WarmPool::stats`]).
 #[derive(Debug, Clone)]
 pub struct WarmPoolStats {
@@ -321,9 +341,10 @@ impl WarmPoolStats {
 ///
 /// Snapshots are built lazily inside a per-cell `OnceLock`, so two
 /// workers racing to the same cell build it exactly once and one of them
-/// forks. An unpinned snapshot is dropped as soon as the last grid job
-/// that forks it finishes, and a workload's trace and sample plan as soon
-/// as every config in the running grid has finished that workload;
+/// forks. An unpinned snapshot leaves the pool as soon as the last grid
+/// job that forks it holds it (a full-fidelity last fork then runs the
+/// snapshot itself, uncloned), and a workload's trace and sample plan as
+/// soon as every config in the running grid has finished that workload;
 /// pinned keys (see [`WarmPool::pin_config`]) survive for follow-up
 /// grids — the observability passes fork the same snapshots the plain
 /// sweep built.
@@ -444,10 +465,7 @@ impl WarmPool {
     /// re-runs) fork them instead of re-warming.
     pub fn pin_config(&self, cfg: &CoreConfig) {
         let mut pinned = self.pinned.lock().expect("pinned lock");
-        pinned.insert(warm_key(cfg));
-        if self.sim == SimMode::Sample {
-            pinned.insert(config_key(&warm_twin(cfg)));
-        }
+        pinned.insert(share_key(self.sim, cfg));
     }
 
     /// Counter snapshot.
@@ -473,8 +491,10 @@ impl WarmPool {
     /// The memoized compiled trace (warmup + measured, with interval BBV
     /// signatures over the measured region) for `suite[wi]`, built on
     /// first touch. The compiled op stream is byte-identical to the
-    /// generator's, so full-fidelity jobs slice it directly.
-    fn trace(&self, suite: &[Workload], wi: usize) -> Arc<CompiledTrace> {
+    /// generator's, so full-fidelity jobs slice it directly. Spans land
+    /// on tracer lane `lane`: the lane of the grid worker whose job asked
+    /// for the trace, 0 outside a grid.
+    fn trace(&self, suite: &[Workload], wi: usize, lane: u32) -> Arc<CompiledTrace> {
         let mut traces = self.traces.lock().expect("trace lock");
         if let Some(t) = traces.get(&wi) {
             return Arc::clone(t);
@@ -487,7 +507,7 @@ impl WarmPool {
         let t0 = self.tracer.as_ref().map(|tr| tr.now_nanos());
         let span = |outcome: &'static str, fields: Vec<(&'static str, u64)>| {
             if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
-                tr.record("trace-compile", name.to_string(), outcome, fields, 0, t0);
+                tr.record("trace-compile", name.to_string(), outcome, fields, lane, t0);
             }
         };
         let t = if let Some(s) = &self.store {
@@ -500,7 +520,7 @@ impl WarmPool {
                             format!("trace|{name}"),
                             "hit",
                             vec![("bytes", n)],
-                            0,
+                            lane,
                         );
                     }
                     span("store-hit", vec![("uops", total), ("bytes", n)]);
@@ -508,7 +528,7 @@ impl WarmPool {
                 }
                 None => {
                     if let Some(tr) = &self.tracer {
-                        tr.instant("store-get", format!("trace|{name}"), "miss", vec![], 0);
+                        tr.instant("store-get", format!("trace|{name}"), "miss", vec![], lane);
                     }
                     self.trace_builds.fetch_add(1, Ordering::Relaxed);
                     let t = suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS);
@@ -519,7 +539,7 @@ impl WarmPool {
                             format!("trace|{name}"),
                             "published",
                             vec![("bytes", written)],
-                            0,
+                            lane,
                         );
                     }
                     span("built", vec![("uops", total)]);
@@ -538,11 +558,11 @@ impl WarmPool {
 
     /// The memoized [`SamplePlan`] for `suite[wi]`, clustered on first
     /// touch from the compiled trace's BBV grid.
-    fn sample_plan(&self, suite: &[Workload], wi: usize) -> Arc<SamplePlan> {
+    fn sample_plan(&self, suite: &[Workload], wi: usize, lane: u32) -> Arc<SamplePlan> {
         if let Some(p) = self.plans.lock().expect("plan lock").get(&wi) {
             return Arc::clone(p);
         }
-        let trace = self.trace(suite, wi);
+        let trace = self.trace(suite, wi, lane);
         let mut plans = self.plans.lock().expect("plan lock");
         Arc::clone(
             plans
@@ -553,13 +573,15 @@ impl WarmPool {
 
     /// The shared snapshot for `(key, wi)`, warming `cfg` on first touch.
     /// Concurrent callers block on the cell's `OnceLock` and share the
-    /// one build.
+    /// one build. Spans land on tracer lane `lane`, as in
+    /// [`WarmPool::trace`].
     fn snapshot(
         &self,
         cfg: &CoreConfig,
         key: u64,
         suite: &[Workload],
         wi: usize,
+        lane: u32,
     ) -> Arc<WarmState> {
         let cell = {
             let mut snaps = self.snapshots.lock().expect("snapshot lock");
@@ -581,7 +603,7 @@ impl WarmPool {
                         format!("{name}|{key:016x}"),
                         outcome,
                         fields,
-                        0,
+                        lane,
                         t0,
                     );
                 }
@@ -599,7 +621,7 @@ impl WarmPool {
                             format!("warm|{name}|{key:016x}"),
                             "hit",
                             vec![("bytes", n)],
-                            0,
+                            lane,
                         );
                     }
                     span("store-hit", vec![("warmup", self.warmup), ("bytes", n)]);
@@ -611,10 +633,10 @@ impl WarmPool {
                         format!("warm|{name}|{key:016x}"),
                         "miss",
                         vec![],
-                        0,
+                        lane,
                     );
                 }
-                let trace = self.trace(suite, wi);
+                let trace = self.trace(suite, wi, lane);
                 let ws =
                     warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
                         .expect("valid config");
@@ -625,13 +647,13 @@ impl WarmPool {
                         format!("warm|{name}|{key:016x}"),
                         "published",
                         vec![("bytes", written)],
-                        0,
+                        lane,
                     );
                 }
                 span("built", vec![("warmup", self.warmup)]);
                 return Arc::new(ws);
             }
-            let trace = self.trace(suite, wi);
+            let trace = self.trace(suite, wi, lane);
             let ws = Arc::new(
                 warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
                     .expect("valid config"),
@@ -658,15 +680,16 @@ impl WarmPool {
         wi: usize,
         probe: Q,
     ) -> (rfp_stats::CoreStats, Q) {
-        let trace = self.trace(suite, wi);
-        let snap = self.snapshot(cfg, warm_key(cfg), suite, wi);
+        let trace = self.trace(suite, wi, 0);
+        let snap = Arc::unwrap_or_clone(self.snapshot(cfg, warm_key(cfg), suite, wi, 0));
         let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
         snap.resume_probed(rest, probe)
     }
 
     /// Drops the `(key, wi)` snapshot unless `key` is pinned — called
-    /// when the last grid job that forks it finishes, so a snapshot lives
-    /// only as long as its forks.
+    /// once the last grid job that forks it holds its own reference (see
+    /// [`GridJob::settle_fork`]), so a snapshot lives only as long as its
+    /// forks.
     fn release_snapshot(&self, key: u64, wi: usize) {
         if !self.pinned.lock().expect("pinned lock").contains(&key) {
             self.snapshots
@@ -751,19 +774,50 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> (Vec<JobPlan>, Vec<usiz
     (plans, sizes)
 }
 
+/// One claimed grid job: everything [`pooled_job`] needs besides the
+/// pool.
+struct GridJob<'a> {
+    cfg: &'a CoreConfig,
+    plan: &'a JobPlan,
+    suite: &'a [Workload],
+    wi: usize,
+    /// Tracer lane of the worker running the job: the pool records the
+    /// job's trace compiles and warm captures there, inside its
+    /// `simulate` span.
+    lane: u32,
+    /// The forks its `(workload, group)` snapshot still has to hand
+    /// out, until this job settles its share (`None` once settled, or
+    /// when the pool shares no warm state).
+    forks_left: Option<&'a AtomicUsize>,
+}
+
+impl GridJob<'_> {
+    /// Counts this job off its group's forks, once. A forking job
+    /// settles right after it holds the snapshot; any other job (store
+    /// hit, straight run) when it ends. So when the count reaches zero
+    /// every fork already holds its own reference, and the job that
+    /// brings it there releases the pool's, which lets the last fork
+    /// take the snapshot instead of cloning it.
+    fn settle_fork(&mut self, pool: &WarmPool) {
+        if let Some(left) = self.forks_left.take() {
+            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                pool.release_snapshot(self.plan.share(), self.wi);
+            }
+        }
+    }
+}
+
 /// Runs one `(config, workload)` job through the pool, returning the
 /// report and which warm path served it.
 fn pooled_job(
     pool: &WarmPool,
-    cfg: &CoreConfig,
-    plan: &JobPlan,
-    suite: &[Workload],
-    wi: usize,
+    job: &mut GridJob<'_>,
     collect_obs: bool,
 ) -> (SimReport, &'static str) {
     if pool.sim == SimMode::Sample {
-        return sampled_job(pool, cfg, plan, suite, wi, collect_obs);
+        return sampled_job(pool, job, collect_obs);
     }
+    let (cfg, suite, wi, lane) = (job.cfg, job.suite, job.wi, job.lane);
     let w = &suite[wi];
     if pool.mode == WarmMode::Off {
         let report = if collect_obs {
@@ -776,8 +830,8 @@ fn pooled_job(
         };
         return (report, "off");
     }
-    if !plan.worthy {
-        let trace = pool.trace(suite, wi);
+    if !job.plan.worthy {
+        let trace = pool.trace(suite, wi, lane);
         let report = if collect_obs {
             let (mut r, sink) = simulate_workload_probed_from_trace(
                 cfg,
@@ -802,8 +856,11 @@ fn pooled_job(
         };
         return (report, "straight");
     }
-    let snap = pool.snapshot(cfg, plan.exact, suite, wi);
-    let trace = pool.trace(suite, wi);
+    let snap = pool.snapshot(cfg, job.plan.exact, suite, wi, lane);
+    job.settle_fork(pool);
+    // Moves the snapshot out when no other fork or pin still holds it.
+    let snap = Arc::unwrap_or_clone(snap);
+    let trace = pool.trace(suite, wi, lane);
     let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
     let report = if collect_obs {
         let (stats, sink) = snap.resume_probed(rest, obs_sinks());
@@ -858,14 +915,12 @@ fn window_run<Q: rfp_obs::Probe>(
 /// (`"sample-full"`), which is bit-equal to full fidelity.
 fn sampled_job(
     pool: &WarmPool,
-    cfg: &CoreConfig,
-    plan: &JobPlan,
-    suite: &[Workload],
-    wi: usize,
+    job: &mut GridJob<'_>,
     collect_obs: bool,
 ) -> (SimReport, &'static str) {
+    let (cfg, suite, wi, lane) = (job.cfg, job.suite, job.wi, job.lane);
     let w = &suite[wi];
-    let compiled = pool.trace(suite, wi);
+    let compiled = pool.trace(suite, wi, lane);
     if compiled.intervals().len() < 2 {
         let report = if collect_obs {
             let (mut r, sink) = simulate_workload_probed_from_trace(
@@ -891,12 +946,15 @@ fn sampled_job(
         };
         return (report, "sample-full");
     }
-    let splan = pool.sample_plan(suite, wi);
-    let (key, warm_cfg, own_twin) = match &plan.twin {
-        None => (plan.exact, cfg, true),
+    let splan = pool.sample_plan(suite, wi, lane);
+    let (key, warm_cfg, own_twin) = match &job.plan.twin {
+        None => (job.plan.exact, cfg, true),
         Some((k, c)) => (*k, c, false),
     };
-    let snap = pool.snapshot(warm_cfg, key, suite, wi);
+    // Every window forks the snapshot by reference, so the job keeps
+    // its `Arc` to the end and never takes the snapshot.
+    let snap = pool.snapshot(warm_cfg, key, suite, wi, lane);
+    job.settle_fork(pool);
     // Windows to simulate: `(start, measured len, member epochs)`. The
     // weight of a window is its member count; members double as CPI
     // epoch indices because the interval size equals the epoch size.
@@ -1040,9 +1098,11 @@ pub struct GridOutcome {
 /// claimed in *workload-major* order — all configs of workload 0, then
 /// workload 1 — and within a workload grouped by sharing key (groups in
 /// order of first appearance, config order within a group), so the forks
-/// of one snapshot run back to back. The pool drops each snapshot when
-/// its last fork finishes, and a workload's trace when its last job
-/// does, so a sweep holds about one snapshot per worker. Reports land in
+/// of one snapshot run back to back. The pool lets go of each snapshot
+/// when its last fork takes hold of it, and of a workload's trace when
+/// its last job finishes, so a sweep holds about one snapshot per worker.
+/// Every span a job causes, trace compiles and warm captures included,
+/// lands on its worker's tracer lane (`worker + 1`). Reports land in
 /// config-major grid positions and each
 /// simulation is internally seeded, so output is byte-identical at every
 /// thread count (see `tests/parallel_determinism.rs`).
@@ -1078,10 +1138,13 @@ pub fn run_grid(
         .map(|_| AtomicUsize::new(n_configs))
         .collect();
     // Jobs left per `(workload, group)` cell: the forks its snapshot
-    // still has to serve.
+    // still has to hand out (see `GridJob::settle_fork`).
     let forks_left: Vec<AtomicUsize> = (0..n_workloads)
         .flat_map(|_| group_sizes.iter().map(|&n| AtomicUsize::new(n)))
         .collect();
+    // Whether jobs share warm state at all: the counts above and the
+    // pool's trace/snapshot eviction apply only then.
+    let shares = pool.mode() != WarmMode::Off || pool.sim() == SimMode::Sample;
 
     let per_worker: Vec<Vec<(SimReport, JobTelemetry)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -1106,6 +1169,15 @@ pub fn run_grid(
                         let job = ci * n_workloads + wi;
                         let t0 = Instant::now();
                         let lane = worker as u32 + 1;
+                        let mut grid_job = GridJob {
+                            cfg: &configs[ci],
+                            plan: &plans[ci],
+                            suite,
+                            wi,
+                            lane,
+                            forks_left: shares
+                                .then(|| &forks_left[wi * n_groups + plans[ci].group]),
+                        };
                         let cell = || format!("{}|cfg{}", suite[wi].name, ci);
                         if let Some(tr) = pool.tracer() {
                             tr.instant(
@@ -1158,14 +1230,8 @@ pub fn run_grid(
                                                 lane,
                                             );
                                         }
-                                        let (r, warm) = pooled_job(
-                                            pool,
-                                            &configs[ci],
-                                            &plans[ci],
-                                            suite,
-                                            wi,
-                                            collect_obs,
-                                        );
+                                        let (r, warm) =
+                                            pooled_job(pool, &mut grid_job, collect_obs);
                                         let written = s.put(Tier::Result, &key, &r);
                                         if let Some(tr) = pool.tracer() {
                                             tr.instant(
@@ -1181,14 +1247,7 @@ pub fn run_grid(
                                 }
                             }
                             None => {
-                                let (r, warm) = pooled_job(
-                                    pool,
-                                    &configs[ci],
-                                    &plans[ci],
-                                    suite,
-                                    wi,
-                                    collect_obs,
-                                );
+                                let (r, warm) = pooled_job(pool, &mut grid_job, collect_obs);
                                 (r, warm, "off", 0, 0)
                             }
                         };
@@ -1202,12 +1261,9 @@ pub fn run_grid(
                                 s0,
                             );
                         }
-                        if pool.mode() != WarmMode::Off || pool.sim() == SimMode::Sample {
-                            let plan = &plans[ci];
-                            let forks = &forks_left[wi * n_groups + plan.group];
-                            if forks.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                pool.release_snapshot(plan.share(), wi);
-                            }
+                        if shares {
+                            // A job that forked nothing settles here.
+                            grid_job.settle_fork(pool);
                             if remaining[wi].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 pool.evict_workload(wi);
                             }
@@ -1565,6 +1621,94 @@ mod tests {
             assert_eq!(p.stats, o.stats, "{}: probed fork diverged", p.workload);
             assert!(o.obs.is_some());
         }
+    }
+
+    #[test]
+    fn pool_spans_nest_in_a_simulate_span_on_their_own_lane() {
+        /// A fresh store directory, removed on drop.
+        struct Dir(std::path::PathBuf);
+        impl Drop for Dir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir =
+            Dir(std::env::temp_dir().join(format!("rfp-engine-lanes-{}", std::process::id())));
+        let store = Arc::new(ExpStore::open(&dir.0).expect("open store"));
+        let tracer = Arc::new(EngineTracer::new());
+        // A and B share a warm key; with a store every config forks.
+        let a = CoreConfig::tiger_lake();
+        let mut b = a.clone();
+        b.seed ^= 0x5eed;
+        let configs = [a, b, CoreConfig::tiger_lake().with_rfp()];
+        let pool = WarmPool::new(WarmMode::Exact, 300)
+            .with_store(Some(store))
+            .with_tracer(Some(Arc::clone(&tracer)));
+        let out = run_grid(&pool, &configs, 2, false);
+        let spans = tracer.spans();
+        let inside = |s: &rfp_obs::EngineSpan| {
+            spans.iter().any(|p| {
+                p.kind == "simulate"
+                    && p.lane == s.lane
+                    && p.start_nanos <= s.start_nanos
+                    && p.start_nanos + p.dur_nanos >= s.start_nanos + s.dur_nanos
+            })
+        };
+        let pooled: Vec<_> = spans
+            .iter()
+            .filter(|s| matches!(s.kind, "warm-capture" | "trace-compile") && s.dur_nanos > 0)
+            .collect();
+        let n = rfp_trace::suite().len();
+        assert!(pooled.len() >= 2 * n, "{} timed pool spans", pooled.len());
+        for s in pooled {
+            assert!(
+                inside(s),
+                "{} {} on lane {} lies in no simulate span of that lane",
+                s.kind,
+                s.key,
+                s.lane
+            );
+        }
+        assert_eq!(pool.stats().live_snapshots, 0, "every snapshot released");
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &configs, 1, false);
+        assert_eq!(out.reports, off.reports);
+    }
+
+    #[test]
+    fn only_a_snapshot_the_sweep_forks_is_worth_pinning() {
+        let planned = |ids: &[&str]| -> Vec<CoreConfig> {
+            ids.iter().flat_map(|id| crate::Harness::plan(id)).collect()
+        };
+        let rfp = CoreConfig::tiger_lake().with_rfp();
+        let mut reseeded = rfp.clone();
+        reseeded.seed ^= 0x5eed;
+        let base = CoreConfig::tiger_lake();
+        assert!(sweep_shares_snapshot(
+            SimMode::Full,
+            &[base.clone(), reseeded],
+            &rfp
+        ));
+        assert!(!sweep_shares_snapshot(
+            SimMode::Full,
+            std::slice::from_ref(&base),
+            &rfp
+        ));
+        assert!(!sweep_shares_snapshot(SimMode::Full, &[], &rfp));
+        // Sampled, the RFP config forks its twin: the baseline's snapshot.
+        assert!(sweep_shares_snapshot(SimMode::Sample, &[base], &rfp));
+        // `all` plans the RFP config; `fig2` alone plans no config whose
+        // snapshot an RFP follow-up pass forks, and `timeliness` none.
+        assert!(sweep_shares_snapshot(
+            SimMode::Full,
+            &planned(&crate::Harness::ALL_IDS),
+            &rfp
+        ));
+        assert!(!sweep_shares_snapshot(
+            SimMode::Full,
+            &planned(&["fig2"]),
+            &rfp
+        ));
+        assert!(planned(&["timeliness"]).is_empty());
     }
 
     #[test]

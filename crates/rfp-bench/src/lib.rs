@@ -43,10 +43,10 @@ pub use diff::{
     diff_metrics, diff_metrics_with, flatten, parse_json, DiffOutcome, Json, Violation,
 };
 pub use engine::{
-    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, warm_key,
-    warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan, SimMode,
-    WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
-    TELEMETRY_SCHEMA_VERSION,
+    build_sample_plan, config_key, default_threads, run_grid, sweep_shares_snapshot,
+    telemetry_jsonl, warm_key, warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase,
+    SamplePlan, SimMode, WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS,
+    SAMPLE_WARM_PREFIX, TELEMETRY_SCHEMA_VERSION,
 };
 pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
 pub use history::{

@@ -64,7 +64,7 @@ use rfp_predictors::{
 };
 use rfp_stats::{CoreStats, CpiBucket};
 use rfp_trace::{MicroOp, UopKind};
-use rfp_types::{Addr, ConfigError, Cycle, PhysReg, SeqNum};
+use rfp_types::{Addr, ArchReg, ConfigError, Cycle, PhysReg, SeqNum};
 
 use crate::config::{CoreConfig, VpMode};
 use crate::event_queue::CalendarQueue;
@@ -171,7 +171,7 @@ pub struct Core<P: Probe = NoopProbe> {
     /// Store queue: seqs of the stores in the window, oldest first.
     sq: VecDeque<SeqNum>,
 
-    rename_map: [PhysReg; 64],
+    rename_map: [PhysReg; ArchReg::COUNT],
     free_pregs: Vec<PhysReg>,
     preg_pred: Vec<Cycle>,
     preg_actual: Vec<Cycle>,
@@ -287,7 +287,7 @@ impl<P: Probe> Core<P> {
     /// `cfg.mem`, so a caller with a warm hierarchy builds no cold one.
     fn around(cfg: CoreConfig, probe: P, mem: MemoryHierarchy) -> Result<Self, ConfigError> {
         let phys = cfg.phys_regs();
-        let mut rename_map = [PhysReg::new(0); 64];
+        let mut rename_map = [PhysReg::new(0); ArchReg::COUNT];
         for (i, m) in rename_map.iter_mut().enumerate() {
             *m = PhysReg::new(i as u16);
         }
@@ -2106,13 +2106,13 @@ impl<P: Probe> Core<P> {
         // Rename: snapshot source mappings, allocate a destination.
         for (slot, src) in inst.src_phys.iter_mut().zip(uop.src_regs.iter()) {
             if let Some(a) = src {
-                *slot = Some(self.rename_map[a.index() % 64]);
+                *slot = Some(self.rename_map[a.index()]);
             }
         }
         if let Some(d) = uop.dst {
             let preg = self.free_pregs.pop().expect("checked non-empty");
-            inst.prev_phys = Some(self.rename_map[d.index() % 64]);
-            self.rename_map[d.index() % 64] = preg;
+            inst.prev_phys = Some(self.rename_map[d.index()]);
+            self.rename_map[d.index()] = preg;
             self.unpublish(preg);
             inst.dst_phys = Some(preg);
         }
@@ -2350,10 +2350,12 @@ impl<P: Probe> Core<P> {
 /// store-set history, the RNG stream, and the trace cursor
 /// ([`WarmState::consumed_uops`]).
 ///
-/// Produced by [`Core::warm_up`]; consumed (any number of times, from any
-/// thread via `Arc`) by [`WarmState::resume`] for exact byte-identical
-/// forks, or by [`WarmState::transplant_window`] for the phase sampler's
-/// approximate cross-config windows.
+/// Produced by [`Core::warm_up`]. [`WarmState::resume`] runs the
+/// snapshot itself for an exact byte-identical fork, so a caller that
+/// forks it again resumes a clone (`Arc::unwrap_or_clone` clones only
+/// while another holder remains). The window forks
+/// ([`WarmState::resume_window`], [`WarmState::transplant_window`]) take
+/// it by reference, any number of times, from any thread via `Arc`.
 #[derive(Clone)]
 pub struct WarmState {
     core: Core<NoopProbe>,
@@ -2395,10 +2397,10 @@ impl WarmState {
         &self.core.cfg
     }
 
-    /// Forks the snapshot and runs it to completion over `rest` — the
-    /// original trace minus its first [`WarmState::consumed_uops`] entries.
+    /// Runs the snapshot to completion over `rest` — the original trace
+    /// minus its first [`WarmState::consumed_uops`] entries.
     /// Byte-identical to `Core::run_with_warmup` over the whole trace.
-    pub fn resume(&self, rest: impl IntoIterator<Item = MicroOp>) -> CoreStats {
+    pub fn resume(self, rest: impl IntoIterator<Item = MicroOp>) -> CoreStats {
         self.resume_probed(rest, NoopProbe).0
     }
 
@@ -2406,11 +2408,11 @@ impl WarmState {
     /// observes the same event stream a straight-through probed run would
     /// retain (see [`Core::run_loop`] on pause placement).
     pub fn resume_probed<Q: Probe>(
-        &self,
+        self,
         rest: impl IntoIterator<Item = MicroOp>,
         probe: Q,
     ) -> (CoreStats, Q) {
-        let mut core = self.core.clone().into_probed(probe);
+        let mut core = self.core.into_probed(probe);
         let wall_start = Instant::now();
         if self.finished {
             return core.finalize(wall_start);
@@ -2916,7 +2918,7 @@ mod tests {
             let rest = trace[warm.consumed_uops() as usize..].to_vec();
             // Two forks from one snapshot: both identical to the straight run.
             for _ in 0..2 {
-                let forked = warm.resume(rest.clone());
+                let forked = warm.clone().resume(rest.clone());
                 assert_eq!(forked, straight);
             }
         }

@@ -10,11 +10,7 @@ fn r(i: u8) -> ArchReg {
 }
 
 fn mem(addr: u64, value: u64) -> MemRef {
-    MemRef {
-        addr: Addr::new(addr),
-        size: 8,
-        value,
-    }
+    MemRef::new(Addr::new(addr), 8, value)
 }
 
 /// N iterations of: load r10 <- [0x1000 + i*8]; r8 = alu(r10)  — a serial

@@ -15,11 +15,7 @@ fn r(i: u8) -> ArchReg {
 }
 
 fn mem(addr: u64, value: u64) -> MemRef {
-    MemRef {
-        addr: Addr::new(addr),
-        size: 8,
-        value,
-    }
+    MemRef::new(Addr::new(addr), 8, value)
 }
 
 /// A strided load chain RFP covers well, with a dependent ALU per load.

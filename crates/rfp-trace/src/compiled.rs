@@ -273,11 +273,7 @@ impl CompiledTrace {
                     let a = addr.eval(&chase_slots, iter);
                     let v = value.eval(&mut chase_slots, iter);
                     let mut op = tpl;
-                    op.mem = Some(MemRef {
-                        addr: a,
-                        size: 8,
-                        value: v,
-                    });
+                    op.mem = Some(MemRef::new(a, 8, v));
                     ops.push(op);
                 }
                 Slot::Branch { tpl, taken_bias } => {

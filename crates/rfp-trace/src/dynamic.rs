@@ -197,11 +197,7 @@ impl Iterator for TraceGen {
                     kind: crate::UopKind::Load,
                     src_regs: inst.srcs,
                     dst: inst.dst,
-                    mem: Some(MemRef {
-                        addr,
-                        size: 8,
-                        value,
-                    }),
+                    mem: Some(MemRef::new(addr, 8, value)),
                 }
             }
             StaticKind::Store { pattern } => {
@@ -212,11 +208,7 @@ impl Iterator for TraceGen {
                     kind: crate::UopKind::Store,
                     src_regs: inst.srcs,
                     dst: None,
-                    mem: Some(MemRef {
-                        addr,
-                        size: 8,
-                        value,
-                    }),
+                    mem: Some(MemRef::new(addr, 8, value)),
                 }
             }
             StaticKind::Branch { taken_bias } => {

@@ -265,10 +265,7 @@ fn parse_reg(s: &str, line: usize) -> Result<ArchReg, TraceParseError> {
         .strip_prefix('r')
         .and_then(|n| n.parse::<u8>().ok())
         .ok_or_else(|| TraceParseError::new(line, format!("invalid register '{s}'")))?;
-    if n >= 64 {
-        return Err(TraceParseError::new(line, "registers are r0..r63"));
-    }
-    Ok(ArchReg::new(n))
+    ArchReg::try_new(n).ok_or_else(|| TraceParseError::new(line, "registers are r0..r63"))
 }
 
 fn parse_regs<'a>(
@@ -307,9 +304,9 @@ fn parse_mem<'a>(
     line: usize,
 ) -> Result<MemRef, TraceParseError> {
     let addr = Addr::new(parse_num(tok, line, "address")?);
-    let size = parse_u8_in(tok, line, "size", 1, 64)?;
+    let size = parse_u8_in(tok, line, "size", 1, MemRef::MAX_SIZE)?;
     let value = parse_num(tok, line, "value")?;
-    Ok(MemRef { addr, size, value })
+    Ok(MemRef::new(addr, size, value))
 }
 
 fn parse_flag<'a>(

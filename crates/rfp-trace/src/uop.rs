@@ -9,6 +9,8 @@
 //! value predictors train on values, and memory disambiguation compares
 //! load/store addresses exactly as hardware would.
 
+use std::num::NonZeroU8;
+
 use rfp_types::{Addr, ArchReg, Pc};
 
 /// Maximum number of register sources a micro-op may carry.
@@ -74,15 +76,43 @@ impl UopKind {
 }
 
 /// The memory side of a load or store micro-op.
+///
+/// The size is a `NonZeroU8`, so `Option<MemRef>` uses its zero niche
+/// and is no larger than `MemRef` itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Virtual address of the access.
     pub addr: Addr,
-    /// Access size in bytes (1–64).
-    pub size: u8,
+    /// Access size in bytes (1–[`MemRef::MAX_SIZE`]).
+    pub size: NonZeroU8,
     /// The value loaded (for loads) or stored (for stores). Drives value
     /// prediction training/validation and store-to-load forwarding.
     pub value: u64,
+}
+
+impl MemRef {
+    /// Largest access size in bytes: one cache line.
+    pub const MAX_SIZE: u8 = 64;
+
+    /// Creates a memory reference of `size` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is outside `1..=MAX_SIZE`.
+    pub const fn new(addr: Addr, size: u8, value: u64) -> Self {
+        match Self::checked_size(size) {
+            Some(size) => MemRef { addr, size, value },
+            None => panic!("MemRef size must be 1..=64 bytes"),
+        }
+    }
+
+    /// `size` as a valid access size, or `None` outside `1..=MAX_SIZE`.
+    const fn checked_size(size: u8) -> Option<NonZeroU8> {
+        if size > Self::MAX_SIZE {
+            return None;
+        }
+        NonZeroU8::new(size)
+    }
 }
 
 /// One dynamic micro-op of a trace, in program order.
@@ -214,6 +244,15 @@ impl MicroOp {
     }
 }
 
+// The trace arenas hold one `MicroOp` per dynamic uop, so its size is
+// most of the simulator's heap. Both optional fields ride a niche: no
+// `Option` tag takes a byte of its own.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Option<MemRef>>() == 24);
+    assert!(size_of::<MicroOp>() == 40);
+};
+
 fn pack_srcs(srcs: &[ArchReg]) -> [Option<ArchReg>; MAX_SRCS] {
     assert!(
         srcs.len() <= MAX_SRCS,
@@ -261,10 +300,10 @@ mod codec_impls {
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             Ok(match r.get_u8()? {
                 0 => UopKind::Alu {
-                    latency: r.get_u8()?,
+                    latency: latency(r)?,
                 },
                 1 => UopKind::Fp {
-                    latency: r.get_u8()?,
+                    latency: latency(r)?,
                 },
                 2 => UopKind::Load,
                 3 => UopKind::Store,
@@ -277,17 +316,26 @@ mod codec_impls {
         }
     }
 
+    /// An ALU/FP latency: the constructors and the text parser refuse 0.
+    fn latency(r: &mut ByteReader<'_>) -> Result<u8, CodecError> {
+        match r.get_u8()? {
+            0 => Err(CodecError::Invalid("UopKind latency 0")),
+            n => Ok(n),
+        }
+    }
+
     impl Codec for MemRef {
         fn encode(&self, w: &mut ByteWriter) {
             let MemRef { addr, size, value } = *self;
             addr.encode(w);
-            w.put_u8(size);
+            w.put_u8(size.get());
             w.put_u64(value);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             Ok(MemRef {
                 addr: Codec::decode(r)?,
-                size: r.get_u8()?,
+                size: MemRef::checked_size(r.get_u8()?)
+                    .ok_or(CodecError::Invalid("MemRef size outside 1..=64"))?,
                 value: r.get_u64()?,
             })
         }
@@ -309,13 +357,18 @@ mod codec_impls {
             mem.encode(w);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            Ok(MicroOp {
+            let op = MicroOp {
                 pc: Codec::decode(r)?,
                 kind: Codec::decode(r)?,
                 src_regs: <[Option<ArchReg>; MAX_SRCS]>::decode(r)?,
                 dst: Codec::decode(r)?,
                 mem: Codec::decode(r)?,
-            })
+            };
+            // The core reads `mem_ref()` of every load and store.
+            if op.kind.is_mem() != op.mem.is_some() {
+                return Err(CodecError::Invalid("MicroOp mem does not match its kind"));
+            }
+            Ok(op)
         }
     }
 }
@@ -323,6 +376,8 @@ mod codec_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rfp_types::codec::{decode_from_slice, encode_to_vec, ByteReader, Codec, CodecError};
 
     fn r(i: u8) -> ArchReg {
         ArchReg::new(i)
@@ -330,11 +385,7 @@ mod tests {
 
     #[test]
     fn constructors_fill_expected_fields() {
-        let mem = MemRef {
-            addr: Addr::new(0x1000),
-            size: 8,
-            value: 42,
-        };
+        let mem = MemRef::new(Addr::new(0x1000), 8, 42);
         let ld = MicroOp::load(Pc::new(4), &[r(1), r(2)], r(3), mem);
         assert!(ld.kind.is_load());
         assert_eq!(ld.dst, Some(r(3)));
@@ -367,6 +418,130 @@ mod tests {
     #[should_panic(expected = "non-memory")]
     fn mem_ref_on_alu_panics() {
         MicroOp::alu(Pc::new(0), 1, &[], Some(r(1))).mem_ref();
+    }
+
+    #[test]
+    #[should_panic(expected = "MemRef size")]
+    fn mem_ref_new_refuses_size_zero() {
+        let _ = MemRef::new(Addr::new(0), 0, 0);
+    }
+
+    fn sample_ops() -> [MicroOp; 5] {
+        let mem = MemRef::new(Addr::new(0xdead_beef), 64, u64::MAX);
+        [
+            MicroOp::alu(Pc::new(0x400), 3, &[r(0), r(63)], Some(r(5))),
+            MicroOp::fp(Pc::new(0x404), 4, &[r(1), r(2), r(3)], None),
+            MicroOp::load(Pc::new(0x408), &[r(7)], r(8), mem),
+            MicroOp::store(
+                Pc::new(0x40c),
+                &[r(7), r(9)],
+                MemRef {
+                    size: NonZeroU8::MIN,
+                    ..mem
+                },
+            ),
+            MicroOp::branch(Pc::new(0x410), &[r(9)], true, false),
+        ]
+    }
+
+    /// Decodes a `MicroOp` from the front of `bytes` and, when that
+    /// succeeds, checks the op is one the constructors could build and
+    /// that it re-encodes to exactly the bytes it consumed.
+    fn decode_is_err_or_valid(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let mut rd = ByteReader::new(bytes);
+        if let Ok(op) = MicroOp::decode(&mut rd) {
+            prop_assert!(op.srcs().chain(op.dst).all(|a| a.index() < ArchReg::COUNT));
+            prop_assert_eq!(op.kind.is_mem(), op.mem.is_some());
+            if let Some(m) = op.mem {
+                prop_assert!((1..=MemRef::MAX_SIZE).contains(&m.size.get()));
+            }
+            if let UopKind::Alu { latency } | UopKind::Fp { latency } = op.kind {
+                prop_assert!(latency > 0);
+            }
+            let used = bytes.len() - rd.remaining();
+            prop_assert_eq!(encode_to_vec(&op), bytes[..used].to_vec());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn codec_round_trips_every_kind() {
+        for op in sample_ops() {
+            assert_eq!(decode_from_slice::<MicroOp>(&encode_to_vec(&op)), Ok(op));
+        }
+    }
+
+    #[test]
+    fn mem_ref_decode_refuses_sizes_the_parser_refuses() {
+        let good = encode_to_vec(&MemRef::new(Addr::new(0x40), 8, 7));
+        // Bytes 0..8 are the address; byte 8 is the size.
+        for size in [0u8, 65, 200] {
+            let mut bytes = good.clone();
+            bytes[8] = size;
+            assert_eq!(
+                decode_from_slice::<MemRef>(&bytes),
+                Err(CodecError::Invalid("MemRef size outside 1..=64"))
+            );
+        }
+    }
+
+    #[test]
+    fn micro_op_decode_refuses_an_out_of_range_register() {
+        let mut bytes = encode_to_vec(&sample_ops()[0]);
+        // pc (8), kind (2), then the first source slot: tag 1, index.
+        assert_eq!(bytes[10..12], [1, 0]);
+        bytes[11] = 200;
+        assert_eq!(
+            decode_from_slice::<MicroOp>(&bytes),
+            Err(CodecError::Invalid("ArchReg index >= 64"))
+        );
+    }
+
+    #[test]
+    fn micro_op_decode_refuses_a_mem_ref_its_kind_does_not_take() {
+        let mut alu_with_mem = sample_ops()[0];
+        alu_with_mem.mem = sample_ops()[2].mem;
+        let mut load_without_mem = sample_ops()[2];
+        load_without_mem.mem = None;
+        for op in [alu_with_mem, load_without_mem] {
+            assert_eq!(
+                decode_from_slice::<MicroOp>(&encode_to_vec(&op)),
+                Err(CodecError::Invalid("MicroOp mem does not match its kind"))
+            );
+        }
+    }
+
+    #[test]
+    fn micro_op_decode_refuses_latency_zero() {
+        let mut bytes = encode_to_vec(&sample_ops()[1]);
+        bytes[9] = 0;
+        assert_eq!(
+            decode_from_slice::<MicroOp>(&bytes),
+            Err(CodecError::Invalid("UopKind latency 0"))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn micro_op_decode_of_arbitrary_bytes_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            decode_is_err_or_valid(&bytes)?;
+        }
+
+        #[test]
+        fn micro_op_decode_of_a_mutated_encoding_never_panics(
+            which in 0usize..5,
+            at in 0usize..64,
+            byte in any::<u8>(),
+        ) {
+            let mut bytes = encode_to_vec(&sample_ops()[which]);
+            let i = at % bytes.len();
+            bytes[i] = byte;
+            decode_is_err_or_valid(&bytes)?;
+        }
     }
 
     #[test]

@@ -523,7 +523,7 @@ impl Codec for ArchReg {
         w.put_u8(self.index() as u8);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(ArchReg::new(r.get_u8()?))
+        ArchReg::try_new(r.get_u8()?).ok_or(CodecError::Invalid("ArchReg index >= 64"))
     }
 }
 
@@ -578,6 +578,17 @@ mod tests {
         round_trip(SeqNum::new(99));
         round_trip(ArchReg::new(63));
         round_trip(PhysReg::new(280));
+    }
+
+    #[test]
+    fn arch_reg_decode_refuses_index_64_and_above() {
+        for b in [64u8, 200, 255] {
+            assert_eq!(
+                decode_from_slice::<ArchReg>(&[b]),
+                Err(CodecError::Invalid("ArchReg index >= 64"))
+            );
+        }
+        assert_eq!(decode_from_slice::<ArchReg>(&[63]), Ok(ArchReg::new(63)));
     }
 
     #[test]

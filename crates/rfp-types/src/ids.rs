@@ -1,6 +1,7 @@
 //! Identifier newtypes: program counters, register names, sequence numbers.
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// The program counter of a static instruction.
 ///
@@ -62,32 +63,79 @@ impl From<u64> for Pc {
 /// An architectural (logical) register name, pre-rename.
 ///
 /// The trace generator emits dataflow over a small architectural register
-/// file (x86-64 has 16 integer + 16 vector registers; we allow up to 64
-/// names so synthetic programs can exercise wide dataflow).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ArchReg(u8);
+/// file (x86-64 has 16 integer + 16 vector registers; we allow up to
+/// [`ArchReg::COUNT`] names so synthetic programs can exercise wide
+/// dataflow).
+///
+/// The index is stored plus one in a `NonZeroU8`, so `Option<ArchReg>`
+/// is one byte: a micro-op's three source slots and its destination
+/// take four bytes, not eight.
+///
+/// # Examples
+///
+/// ```
+/// use rfp_types::ArchReg;
+/// assert_eq!(ArchReg::new(63).index(), 63);
+/// assert_eq!(ArchReg::default(), ArchReg::new(0));
+/// assert_eq!(std::mem::size_of::<Option<ArchReg>>(), 1);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ArchReg(NonZeroU8);
 
 impl ArchReg {
+    /// Number of architectural register names: indices run `0..COUNT`.
+    pub const COUNT: usize = 64;
+
     /// Creates an architectural register name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is [`ArchReg::COUNT`] or more.
     pub const fn new(index: u8) -> Self {
-        ArchReg(index)
+        match Self::try_new(index) {
+            Some(r) => r,
+            None => panic!("ArchReg index out of range: registers are r0..r63"),
+        }
     }
 
-    /// Returns the register index.
+    /// Creates an architectural register name, or `None` if `index` is
+    /// [`ArchReg::COUNT`] or more.
+    pub const fn try_new(index: u8) -> Option<Self> {
+        if (index as usize) < Self::COUNT {
+            match NonZeroU8::new(index + 1) {
+                Some(n) => Some(ArchReg(n)),
+                None => None,
+            }
+        } else {
+            None
+        }
+    }
+
+    /// Returns the register index, always below [`ArchReg::COUNT`].
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
+    }
+}
+
+// `Option<ArchReg>` uses the zero niche: one byte, no tag.
+const _: () = assert!(std::mem::size_of::<Option<ArchReg>>() == 1);
+
+impl Default for ArchReg {
+    /// `r0`.
+    fn default() -> Self {
+        ArchReg::new(0)
     }
 }
 
 impl fmt::Debug for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
 impl fmt::Display for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
@@ -189,6 +237,23 @@ mod tests {
         assert!(!b.is_older_than(a));
         assert!(!a.is_older_than(a));
         assert!(a < b);
+    }
+
+    #[test]
+    fn arch_reg_indices_round_trip_and_fit_one_byte() {
+        for i in 0..ArchReg::COUNT as u8 {
+            assert_eq!(ArchReg::new(i).index(), i as usize);
+        }
+        assert_eq!(ArchReg::try_new(64), None);
+        assert_eq!(ArchReg::try_new(255), None);
+        assert_eq!(ArchReg::default().index(), 0);
+        assert!(ArchReg::new(3) < ArchReg::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "ArchReg index out of range")]
+    fn arch_reg_new_refuses_index_64() {
+        let _ = ArchReg::new(64);
     }
 
     #[test]

@@ -24,11 +24,7 @@ fn r(i: u8) -> ArchReg {
 }
 
 fn mem(addr: u64, value: u64) -> MemRef {
-    MemRef {
-        addr: Addr::new(addr),
-        size: 8,
-        value,
-    }
+    MemRef::new(Addr::new(addr), 8, value)
 }
 
 /// One loop iteration, paper-Fig.-3 style:

@@ -73,12 +73,14 @@ fn main() {
     // Metrics sinks are attached only when histograms were asked for —
     // the aggregates printed below come from the same counters either way.
     let rfp_cfg = CoreConfig::tiger_lake().with_rfp();
+    let obs = metrics_out.is_some() || profile_out.is_some();
     let configs = [
         CoreConfig::tiger_lake(),
         rfp_cfg.clone(),
         CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf),
         CoreConfig::tiger_lake().with_oracle(OracleMode::MemToLlc),
-    ];
+    ]
+    .map(|c| (c, obs));
     // The engine self-tracer is armed only when a trace was requested.
     let tracer = engine_trace_out
         .as_ref()
@@ -86,12 +88,7 @@ fn main() {
     let pool = WarmPool::with_sim(env.warm, env.sim, len)
         .with_store(store)
         .with_tracer(tracer.clone());
-    let outcome = run_grid(
-        &pool,
-        &configs,
-        threads,
-        metrics_out.is_some() || profile_out.is_some(),
-    );
+    let outcome = run_grid(&pool, &configs, threads);
     let mut rows = outcome.reports.into_iter();
     let (base, rfp, o_l1, o_mem) = (
         rows.next().expect("base row"),

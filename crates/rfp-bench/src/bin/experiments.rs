@@ -21,7 +21,11 @@
 //! approximation of full-fidelity output; `experiments sampling-error`
 //! quantifies the gap.
 //!
-//! Observability outputs (all side files; stdout stays byte-identical):
+//! Observability outputs (all side files; stdout stays byte-identical).
+//! The instrumented RFP row behind `--metrics-out`, `--profile-out`,
+//! `--collapsed-out`, `--sampling-report` and `--run-label` runs in the
+//! same grid as the experiments' own rows, so it forks their warm
+//! snapshots and each trace is compiled once per invocation:
 //!
 //! - `--trace-out <dir>`: write a Perfetto/`chrome://tracing` pipeline +
 //!   prefetch-lifetime trace of one workload under the RFP config to
@@ -80,12 +84,12 @@ use std::sync::Arc;
 use rfp_bench::{
     die, diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
     read_or_die, render_history_list, render_history_show, render_report, render_store_stats,
-    sampling_error_report_json, sweep_shares_snapshot, take_bare, take_count, take_flag,
-    telemetry_jsonl, trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores,
-    ExpStore, Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
+    sampling_error_report_json, take_bare, take_count, take_flag, telemetry_jsonl,
+    trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores, ExpStore,
+    Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
     DEFAULT_TRACE_LEN, KNOBS,
 };
-use rfp_core::{CoreConfig, OracleMode};
+use rfp_core::CoreConfig;
 use rfp_obs::EngineTracer;
 use rfp_stats::{render_trend_table, TrendParams};
 
@@ -627,43 +631,22 @@ fn main() {
         .with_tracer(tracer.clone());
     let mut h = Harness::with_pool(len, threads, pool);
     let t0 = std::time::Instant::now();
-    // Observability passes re-simulate the RFP configs with probes
-    // attached; pinning their warm snapshots now lets those passes fork
-    // the warmup the main sweep already paid — when the main sweep plans
-    // a config that forks the same snapshot. Otherwise the pin would
-    // only keep the observability pass's own capture alive.
-    let planned: Vec<CoreConfig> = ids.iter().flat_map(|id| Harness::plan(id)).collect();
-    let pin = |cfg: &CoreConfig| {
-        if sweep_shares_snapshot(env.sim, &planned, cfg) {
-            h.pin_config(cfg);
-        }
-    };
+    // Fill the cache with every row the requested experiments and side
+    // documents need in one work-stealing grid, so the whole machine
+    // stays busy and the side documents' instrumented RFP row forks the
+    // warm snapshots of the sweep's plain one.
     let rfp_cfg = CoreConfig::tiger_lake().with_rfp();
-    if metrics_out.is_some()
+    let side_docs = metrics_out.is_some()
         || profile_out.is_some()
         || collapsed_out.is_some()
         || sampling_out.is_some()
-        || ledger.is_some()
-        || ids.contains(&"profile")
-        || ids.contains(&"timeliness")
-    {
-        pin(&rfp_cfg);
-    }
-    if ids.contains(&"timeliness") {
-        // Only `timeliness` runs the dedicated-port config.
-        let mut dedicated = rfp_cfg.clone();
-        dedicated.ports.dedicated_rfp = dedicated.ports.load_ports;
-        pin(&dedicated);
-    }
-    if ids.contains(&"cpi") {
-        pin(&CoreConfig::tiger_lake());
-        pin(&rfp_cfg);
-        pin(&CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf));
-    }
-    // Fill the cache with every config the requested experiments need in
-    // one work-stealing grid, so the whole machine stays busy instead of
-    // parallelising one experiment at a time.
-    h.prefetch(&ids);
+        || ledger.is_some();
+    let side_obs: &[CoreConfig] = if side_docs {
+        std::slice::from_ref(&rfp_cfg)
+    } else {
+        &[]
+    };
+    h.prefetch_with_obs(&ids, side_obs);
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
             println!("{}", "=".repeat(78));

@@ -14,7 +14,7 @@
 //! which makes the whole grid bit-deterministic (see
 //! `tests/parallel_determinism.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -271,26 +271,6 @@ pub fn warm_twin(cfg: &CoreConfig) -> CoreConfig {
     warm_projection(&c)
 }
 
-/// The key of the snapshot a grid job under `cfg` forks: its
-/// [`warm_key`] at full fidelity, its [`warm_twin`]'s key under
-/// [`SimMode::Sample`].
-fn share_key(sim: SimMode, cfg: &CoreConfig) -> u64 {
-    match sim {
-        SimMode::Full => warm_key(cfg),
-        SimMode::Sample => config_key(&warm_twin(cfg)),
-    }
-}
-
-/// Whether a grid over `planned` forks the snapshot a later grid over
-/// `cfg` would fork — the test to pass before pinning `cfg`
-/// ([`WarmPool::pin_config`]). A pin the sweep does not build a snapshot
-/// for only makes that later grid capture one of its own and keep it
-/// for the life of the pool.
-pub fn sweep_shares_snapshot(sim: SimMode, planned: &[CoreConfig], cfg: &CoreConfig) -> bool {
-    let key = share_key(sim, cfg);
-    planned.iter().any(|p| share_key(sim, p) == key)
-}
-
 /// Counter snapshot of a [`WarmPool`] (see [`WarmPool::stats`]).
 #[derive(Debug, Clone)]
 pub struct WarmPoolStats {
@@ -341,13 +321,12 @@ impl WarmPoolStats {
 ///
 /// Snapshots are built lazily inside a per-cell `OnceLock`, so two
 /// workers racing to the same cell build it exactly once and one of them
-/// forks. An unpinned snapshot leaves the pool as soon as the last grid
-/// job that forks it holds it (a full-fidelity last fork then runs the
-/// snapshot itself, uncloned), and a workload's trace and sample plan as
-/// soon as every config in the running grid has finished that workload;
-/// pinned keys (see [`WarmPool::pin_config`]) survive for follow-up
-/// grids — the observability passes fork the same snapshots the plain
-/// sweep built.
+/// forks. A snapshot leaves the pool as soon as the last grid job that
+/// forks it holds it (a full-fidelity last fork then runs the snapshot
+/// itself, uncloned), and a workload's trace and sample plan as soon as
+/// every row of the running grid has finished that workload. A caller
+/// that wants plain and instrumented runs of one config to share a
+/// warmup puts both rows in one grid ([`run_grid`]).
 pub struct WarmPool {
     mode: WarmMode,
     sim: SimMode,
@@ -365,7 +344,6 @@ pub struct WarmPool {
     /// store traffic and job lifecycle. `None` (the default) keeps the
     /// cost to one branch per site.
     tracer: Option<Arc<EngineTracer>>,
-    pinned: Mutex<HashSet<u64>>,
     traces: Mutex<HashMap<usize, Arc<CompiledTrace>>>,
     plans: Mutex<HashMap<usize, Arc<SamplePlan>>>,
     #[allow(clippy::type_complexity)]
@@ -406,7 +384,6 @@ impl WarmPool {
             warmup: len / 2,
             store: None,
             tracer: None,
-            pinned: Mutex::new(HashSet::new()),
             traces: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(HashMap::new()),
@@ -457,15 +434,6 @@ impl WarmPool {
     /// Measured uops per job this pool was sized for.
     pub fn measured_len(&self) -> u64 {
         self.measured
-    }
-
-    /// Marks `cfg`'s snapshot keys as pinned: its snapshots are built
-    /// even if the key appears only once in a grid, and survive
-    /// their last fork so later grids (the observability
-    /// re-runs) fork them instead of re-warming.
-    pub fn pin_config(&self, cfg: &CoreConfig) {
-        let mut pinned = self.pinned.lock().expect("pinned lock");
-        pinned.insert(share_key(self.sim, cfg));
     }
 
     /// Counter snapshot.
@@ -686,17 +654,15 @@ impl WarmPool {
         snap.resume_probed(rest, probe)
     }
 
-    /// Drops the `(key, wi)` snapshot unless `key` is pinned — called
-    /// once the last grid job that forks it holds its own reference (see
+    /// Drops the `(key, wi)` snapshot — called once the last grid job
+    /// that forks it holds its own reference (see
     /// [`GridJob::settle_fork`]), so a snapshot lives only as long as its
     /// forks.
     fn release_snapshot(&self, key: u64, wi: usize) {
-        if !self.pinned.lock().expect("pinned lock").contains(&key) {
-            self.snapshots
-                .lock()
-                .expect("snapshot lock")
-                .remove(&(key, wi));
-        }
+        self.snapshots
+            .lock()
+            .expect("snapshot lock")
+            .remove(&(key, wi));
     }
 
     /// Drops `suite[wi]`'s trace and sample plan — called when the last
@@ -707,7 +673,7 @@ impl WarmPool {
     }
 }
 
-/// Per-config fork plan for one pooled grid run.
+/// Per-row fork plan for one pooled grid run.
 struct JobPlan {
     /// [`warm_key`] of the config.
     exact: u64,
@@ -715,9 +681,9 @@ struct JobPlan {
     /// the config is *not* its own twin.
     twin: Option<(u64, CoreConfig)>,
     /// Whether a snapshot is worth building: its sharing key occurs at
-    /// least twice in the grid, or is pinned.
+    /// least twice in the grid.
     worthy: bool,
-    /// Index of the config's sharing key among the grid's distinct keys,
+    /// Index of the row's sharing key among the grid's distinct keys,
     /// numbered in order of first appearance.
     group: usize,
 }
@@ -730,13 +696,13 @@ impl JobPlan {
     }
 }
 
-/// Per-config fork plans, and the number of configs in each sharing
-/// group (indexed by [`JobPlan::group`]).
-fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> (Vec<JobPlan>, Vec<usize>) {
-    let pinned = pool.pinned.lock().expect("pinned lock");
-    let mut plans: Vec<JobPlan> = configs
+/// Per-row fork plans, and the number of rows in each sharing group
+/// (indexed by [`JobPlan::group`]). A config's plain and instrumented
+/// rows share a key, so they fall into one group and fork one snapshot.
+fn plan_jobs(pool: &WarmPool, rows: &[(CoreConfig, bool)]) -> (Vec<JobPlan>, Vec<usize>) {
+    let mut plans: Vec<JobPlan> = rows
         .iter()
-        .map(|cfg| {
+        .map(|(cfg, _)| {
             let exact = warm_key(cfg);
             let twin = if pool.sim == SimMode::Sample {
                 let twin_cfg = warm_twin(cfg);
@@ -753,12 +719,11 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> (Vec<JobPlan>, Vec<usiz
             }
         })
         .collect();
-    // A snapshot pays for itself when its sharing key serves >= 2 jobs
-    // (or a pinned follow-up grid). With a persistent store every
-    // snapshot is worthy: a one-off build is amortized across future
-    // sweeps, and a persisted snapshot turns a singleton job's warmup
-    // into one disk read. (Byte-identity is unaffected — the fork path
-    // is exact by construction.)
+    // A snapshot pays for itself when its sharing key serves >= 2 jobs.
+    // With a persistent store every snapshot is worthy: a one-off build
+    // is amortized across future sweeps, and a persisted snapshot turns
+    // a singleton job's warmup into one disk read. (Byte-identity is
+    // unaffected — the fork path is exact by construction.)
     let mut groups: HashMap<u64, usize> = HashMap::new();
     let mut sizes: Vec<usize> = Vec::new();
     for p in &mut plans {
@@ -769,7 +734,7 @@ fn plan_jobs(pool: &WarmPool, configs: &[CoreConfig]) -> (Vec<JobPlan>, Vec<usiz
         sizes[p.group] += 1;
     }
     for p in &mut plans {
-        p.worthy = sizes[p.group] >= 2 || pinned.contains(&p.share()) || pool.store.is_some();
+        p.worthy = sizes[p.group] >= 2 || pool.store.is_some();
     }
     (plans, sizes)
 }
@@ -858,7 +823,7 @@ fn pooled_job(
     }
     let snap = pool.snapshot(cfg, job.plan.exact, suite, wi, lane);
     job.settle_fork(pool);
-    // Moves the snapshot out when no other fork or pin still holds it.
+    // Moves the snapshot out when no other fork still holds it.
     let snap = Arc::unwrap_or_clone(snap);
     let trace = pool.trace(suite, wi, lane);
     let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
@@ -1041,9 +1006,9 @@ fn attach_obs(r: &mut SimReport, sink: ObsSinks) {
 /// side channel for engine tuning (see `--telemetry-out`).
 #[derive(Debug, Clone)]
 pub struct JobTelemetry {
-    /// Grid position (`config_index * n_workloads + workload_index`).
+    /// Grid position (`row_index * n_workloads + workload_index`).
     pub job: usize,
-    /// Index of the configuration within the grid's config list.
+    /// Index of the job's row within the grid's row list.
     pub config: usize,
     /// Workload name.
     pub workload: &'static str,
@@ -1087,56 +1052,51 @@ pub struct GridOutcome {
     pub telemetry: Vec<JobTelemetry>,
 }
 
-/// Simulates the whole workload suite under every config in `configs`
-/// on `threads` work-stealing workers, through `pool` (which fixes the
-/// measured length, the warm and sim modes, the store and the tracer,
-/// and shares its snapshots across grids). With `collect_obs` every
-/// simulation carries the latency-metrics, CPI-stack and profile sinks.
+/// Simulates the whole workload suite under every row of `rows` on
+/// `threads` work-stealing workers, through `pool` (which fixes the
+/// measured length, the warm and sim modes, the store and the tracer).
+/// A row is a config and its obs flag: with the flag set every
+/// simulation of the row carries the latency-metrics, CPI-stack and
+/// profile sinks. A config may appear twice, plain and instrumented;
+/// both rows then fork one snapshot per workload.
 ///
-/// The job grid is `(config, workload)` pairs; a shared atomic index
+/// The job grid is `(row, workload)` pairs; a shared atomic index
 /// hands the next job to whichever worker frees up first. Jobs are
-/// claimed in *workload-major* order — all configs of workload 0, then
+/// claimed in *workload-major* order — all rows of workload 0, then
 /// workload 1 — and within a workload grouped by sharing key (groups in
-/// order of first appearance, config order within a group), so the forks
+/// order of first appearance, row order within a group), so the forks
 /// of one snapshot run back to back. The pool lets go of each snapshot
 /// when its last fork takes hold of it, and of a workload's trace when
 /// its last job finishes, so a sweep holds about one snapshot per worker.
 /// Every span a job causes, trace compiles and warm captures included,
 /// lands on its worker's tracer lane (`worker + 1`). Reports land in
-/// config-major grid positions and each
+/// row-major grid positions and each
 /// simulation is internally seeded, so output is byte-identical at every
 /// thread count (see `tests/parallel_determinism.rs`).
 ///
 /// # Panics
 ///
 /// Panics if a config is invalid or a worker thread panics.
-pub fn run_grid(
-    pool: &WarmPool,
-    configs: &[CoreConfig],
-    threads: usize,
-    collect_obs: bool,
-) -> GridOutcome {
+pub fn run_grid(pool: &WarmPool, rows: &[(CoreConfig, bool)], threads: usize) -> GridOutcome {
     let suite = rfp_trace::suite();
     let n_workloads = suite.len();
-    let n_configs = configs.len();
-    let n_jobs = n_configs * n_workloads;
+    let n_rows = rows.len();
+    let n_jobs = n_rows * n_workloads;
     if n_jobs == 0 {
         return GridOutcome {
-            reports: configs.iter().map(|_| Vec::new()).collect(),
+            reports: rows.iter().map(|_| Vec::new()).collect(),
             telemetry: Vec::new(),
         };
     }
-    let (plans, group_sizes) = plan_jobs(pool, configs);
+    let (plans, group_sizes) = plan_jobs(pool, rows);
     let n_groups = group_sizes.len();
-    // Claim order within a workload; `sort_by_key` is stable, so configs
+    // Claim order within a workload; `sort_by_key` is stable, so rows
     // keep their order within a group.
-    let mut order: Vec<usize> = (0..n_configs).collect();
+    let mut order: Vec<usize> = (0..n_rows).collect();
     order.sort_by_key(|&ci| plans[ci].group);
     let threads = threads.clamp(1, n_jobs);
     let next = AtomicUsize::new(0);
-    let remaining: Vec<AtomicUsize> = (0..n_workloads)
-        .map(|_| AtomicUsize::new(n_configs))
-        .collect();
+    let remaining: Vec<AtomicUsize> = (0..n_workloads).map(|_| AtomicUsize::new(n_rows)).collect();
     // Jobs left per `(workload, group)` cell: the forks its snapshot
     // still has to hand out (see `GridJob::settle_fork`).
     let forks_left: Vec<AtomicUsize> = (0..n_workloads)
@@ -1163,14 +1123,15 @@ pub fn run_grid(
                             break;
                         }
                         // Workload-major, group-ordered claim order;
-                        // config-major grid position (what slot reduction
+                        // row-major grid position (what slot reduction
                         // and telemetry sorting key on).
-                        let (wi, ci) = (claim / n_configs, order[claim % n_configs]);
+                        let (wi, ci) = (claim / n_rows, order[claim % n_rows]);
+                        let (cfg, collect_obs) = (&rows[ci].0, rows[ci].1);
                         let job = ci * n_workloads + wi;
                         let t0 = Instant::now();
                         let lane = worker as u32 + 1;
                         let mut grid_job = GridJob {
-                            cfg: &configs[ci],
+                            cfg,
                             plan: &plans[ci],
                             suite,
                             wi,
@@ -1205,7 +1166,7 @@ pub fn run_grid(
                                     pool.mode,
                                     collect_obs,
                                     suite[wi].name,
-                                    &configs[ci],
+                                    cfg,
                                 );
                                 match s.get::<SimReport>(Tier::Result, &key) {
                                     Some((r, n)) => {
@@ -1305,7 +1266,7 @@ pub fn run_grid(
     }
     telemetry.sort_by_key(|t| t.job);
     let mut slots = slots.into_iter();
-    let reports = configs
+    let reports = rows
         .iter()
         .map(|_| {
             (&mut slots)
@@ -1321,7 +1282,7 @@ pub fn run_grid(
             "ok",
             vec![
                 ("jobs", n_jobs as u64),
-                ("configs", n_configs as u64),
+                ("configs", n_rows as u64),
                 ("workloads", n_workloads as u64),
             ],
             0,
@@ -1386,6 +1347,11 @@ pub fn telemetry_jsonl(telemetry: &[JobTelemetry]) -> String {
 mod tests {
     use super::*;
 
+    /// One grid row per config, every row with the same obs flag.
+    fn rows(configs: &[CoreConfig], obs: bool) -> Vec<(CoreConfig, bool)> {
+        configs.iter().map(|c| (c.clone(), obs)).collect()
+    }
+
     #[test]
     fn config_key_is_content_based() {
         let a = CoreConfig::tiger_lake();
@@ -1398,7 +1364,7 @@ mod tests {
 
     #[test]
     fn empty_grid_returns_empty_per_config() {
-        let out = run_grid(&WarmPool::new(WarmMode::Exact, 1_000), &[], 4, false);
+        let out = run_grid(&WarmPool::new(WarmMode::Exact, 1_000), &[], 4);
         assert!(out.reports.is_empty() && out.telemetry.is_empty());
     }
 
@@ -1408,7 +1374,12 @@ mod tests {
             CoreConfig::tiger_lake(),
             CoreConfig::tiger_lake().with_rfp(),
         ];
-        let out = run_grid(&WarmPool::new(WarmMode::Exact, 400), &configs, 3, false).reports;
+        let out = run_grid(
+            &WarmPool::new(WarmMode::Exact, 400),
+            &rows(&configs, false),
+            3,
+        )
+        .reports;
         assert_eq!(out.len(), 2);
         let suite = rfp_trace::suite();
         for row in &out {
@@ -1430,7 +1401,11 @@ mod tests {
     #[test]
     fn full_grid_reports_one_telemetry_row_per_job() {
         let configs = [CoreConfig::tiger_lake()];
-        let out = run_grid(&WarmPool::new(WarmMode::Exact, 300), &configs, 3, false);
+        let out = run_grid(
+            &WarmPool::new(WarmMode::Exact, 300),
+            &rows(&configs, false),
+            3,
+        );
         let n = rfp_trace::suite().len();
         assert_eq!(out.telemetry.len(), n);
         for (i, t) in out.telemetry.iter().enumerate() {
@@ -1447,8 +1422,8 @@ mod tests {
     fn obs_grid_attaches_metrics_without_changing_stats() {
         let configs = [CoreConfig::tiger_lake().with_rfp()];
         let pool = WarmPool::new(WarmMode::Exact, 400);
-        let plain = run_grid(&pool, &configs, 2, false).reports;
-        let obs = run_grid(&pool, &configs, 2, true).reports;
+        let plain = run_grid(&pool, &rows(&configs, false), 2).reports;
+        let obs = run_grid(&pool, &rows(&configs, true), 2).reports;
         for (p, o) in plain[0].iter().zip(&obs[0]) {
             assert_eq!(
                 p.stats, o.stats,
@@ -1547,8 +1522,16 @@ mod tests {
         let mut seeded = CoreConfig::tiger_lake().with_rfp();
         seeded.seed ^= 0x5eed;
         let configs = [CoreConfig::tiger_lake().with_rfp(), seeded];
-        let off = run_grid(&WarmPool::new(WarmMode::Off, 400), &configs, 2, false);
-        let exact = run_grid(&WarmPool::new(WarmMode::Exact, 400), &configs, 2, false);
+        let off = run_grid(
+            &WarmPool::new(WarmMode::Off, 400),
+            &rows(&configs, false),
+            2,
+        );
+        let exact = run_grid(
+            &WarmPool::new(WarmMode::Exact, 400),
+            &rows(&configs, false),
+            2,
+        );
         for (o, e) in off
             .reports
             .iter()
@@ -1568,7 +1551,7 @@ mod tests {
             CoreConfig::tiger_lake(), // duplicate: shares every snapshot
         ];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        run_grid(&pool, &configs, 2, false);
+        run_grid(&pool, &rows(&configs, false), 2);
         let stats = pool.stats();
         let n = rfp_trace::suite().len();
         assert_eq!(stats.snapshot_misses, n as u64, "one build per workload");
@@ -1590,7 +1573,7 @@ mod tests {
         d.seed ^= 0x5eed;
         let configs = [a, c, b, d];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        let exact = run_grid(&pool, &configs, 1, false);
+        let exact = run_grid(&pool, &rows(&configs, false), 1);
         let stats = pool.stats();
         let n = rfp_trace::suite().len() as u64;
         assert_eq!((stats.snapshot_misses, stats.snapshot_hits), (2 * n, 2 * n));
@@ -1600,26 +1583,33 @@ mod tests {
         );
         assert_eq!(stats.live_snapshots, 0);
         assert!(exact.telemetry.iter().all(|t| t.warm == "fork"));
-        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &configs, 1, false);
+        let off = run_grid(
+            &WarmPool::new(WarmMode::Off, 300),
+            &rows(&configs, false),
+            1,
+        );
         assert_eq!(exact.reports, off.reports);
     }
 
     #[test]
-    fn pinned_snapshots_survive_eviction_and_serve_next_grid() {
+    fn plain_and_obs_rows_of_one_config_fork_one_snapshot() {
         let cfg = CoreConfig::tiger_lake().with_rfp();
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        pool.pin_config(&cfg);
-        let plain = run_grid(&pool, std::slice::from_ref(&cfg), 2, false);
-        let after_first = pool.stats();
-        assert_eq!(after_first.live_snapshots, rfp_trace::suite().len());
-        // The follow-up (obs) grid forks the pinned snapshots: all hits.
-        let obs = run_grid(&pool, &[cfg], 2, true);
+        let out = run_grid(&pool, &[(cfg.clone(), false), (cfg, true)], 2);
+        let n = rfp_trace::suite().len();
+        // Both rows form one sharing group, so every job forks, the obs
+        // row's included.
+        assert!(out.telemetry.iter().all(|t| t.warm == "fork"));
         let stats = pool.stats();
-        assert_eq!(stats.snapshot_misses, after_first.snapshot_misses);
-        assert!(stats.snapshot_hits >= rfp_trace::suite().len() as u64);
-        for (p, o) in plain.reports[0].iter().zip(&obs.reports[0]) {
+        assert_eq!(
+            (stats.snapshot_misses, stats.snapshot_hits),
+            (n as u64, n as u64)
+        );
+        assert_eq!(stats.live_snapshots, 0, "every snapshot released");
+        assert_eq!(stats.trace_builds, n as u64, "one trace per workload");
+        for (p, o) in out.reports[0].iter().zip(&out.reports[1]) {
             assert_eq!(p.stats, o.stats, "{}: probed fork diverged", p.workload);
-            assert!(o.obs.is_some());
+            assert!(p.obs.is_none() && o.obs.is_some());
         }
     }
 
@@ -1644,7 +1634,7 @@ mod tests {
         let pool = WarmPool::new(WarmMode::Exact, 300)
             .with_store(Some(store))
             .with_tracer(Some(Arc::clone(&tracer)));
-        let out = run_grid(&pool, &configs, 2, false);
+        let out = run_grid(&pool, &rows(&configs, false), 2);
         let spans = tracer.spans();
         let inside = |s: &rfp_obs::EngineSpan| {
             spans.iter().any(|p| {
@@ -1670,45 +1660,12 @@ mod tests {
             );
         }
         assert_eq!(pool.stats().live_snapshots, 0, "every snapshot released");
-        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &configs, 1, false);
+        let off = run_grid(
+            &WarmPool::new(WarmMode::Off, 300),
+            &rows(&configs, false),
+            1,
+        );
         assert_eq!(out.reports, off.reports);
-    }
-
-    #[test]
-    fn only_a_snapshot_the_sweep_forks_is_worth_pinning() {
-        let planned = |ids: &[&str]| -> Vec<CoreConfig> {
-            ids.iter().flat_map(|id| crate::Harness::plan(id)).collect()
-        };
-        let rfp = CoreConfig::tiger_lake().with_rfp();
-        let mut reseeded = rfp.clone();
-        reseeded.seed ^= 0x5eed;
-        let base = CoreConfig::tiger_lake();
-        assert!(sweep_shares_snapshot(
-            SimMode::Full,
-            &[base.clone(), reseeded],
-            &rfp
-        ));
-        assert!(!sweep_shares_snapshot(
-            SimMode::Full,
-            std::slice::from_ref(&base),
-            &rfp
-        ));
-        assert!(!sweep_shares_snapshot(SimMode::Full, &[], &rfp));
-        // Sampled, the RFP config forks its twin: the baseline's snapshot.
-        assert!(sweep_shares_snapshot(SimMode::Sample, &[base], &rfp));
-        // `all` plans the RFP config; `fig2` alone plans no config whose
-        // snapshot an RFP follow-up pass forks, and `timeliness` none.
-        assert!(sweep_shares_snapshot(
-            SimMode::Full,
-            &planned(&crate::Harness::ALL_IDS),
-            &rfp
-        ));
-        assert!(!sweep_shares_snapshot(
-            SimMode::Full,
-            &planned(&["fig2"]),
-            &rfp
-        ));
-        assert!(planned(&["timeliness"]).is_empty());
     }
 
     #[test]
@@ -1718,7 +1675,7 @@ mod tests {
             CoreConfig::tiger_lake().with_rfp(),
         ];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        let out = run_grid(&pool, &configs, 2, false);
+        let out = run_grid(&pool, &rows(&configs, false), 2);
         assert!(out.telemetry.iter().all(|t| t.warm == "straight"));
         assert_eq!(pool.stats().snapshot_misses, 0);
     }
@@ -1784,7 +1741,7 @@ mod tests {
             CoreConfig::tiger_lake().with_rfp(),
         ];
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len);
-        let out = run_grid(&pool, &configs, 2, false);
+        let out = run_grid(&pool, &rows(&configs, false), 2);
         for t in &out.telemetry {
             let expect = if t.config == 0 {
                 "sample-fork" // the baseline is its own twin
@@ -1805,9 +1762,13 @@ mod tests {
         // Under two full intervals the sampler cannot skip anything and
         // must fall back to a bit-exact full run of the compiled arena.
         let configs = [CoreConfig::tiger_lake().with_rfp()];
-        let full = run_grid(&WarmPool::new(WarmMode::Off, 1_000), &configs, 2, false);
+        let full = run_grid(
+            &WarmPool::new(WarmMode::Off, 1_000),
+            &rows(&configs, false),
+            2,
+        );
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, 1_000);
-        let samp = run_grid(&pool, &configs, 2, false);
+        let samp = run_grid(&pool, &rows(&configs, false), 2);
         assert!(samp.telemetry.iter().all(|t| t.warm == "sample-full"));
         for (f, s) in full
             .reports
@@ -1824,8 +1785,8 @@ mod tests {
         let len = 3 * SAMPLE_INTERVAL_UOPS;
         let configs = [CoreConfig::tiger_lake().with_rfp()];
         let pool = WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len);
-        let plain = run_grid(&pool, &configs, 2, false);
-        let obs = run_grid(&pool, &configs, 2, true);
+        let plain = run_grid(&pool, &rows(&configs, false), 2);
+        let obs = run_grid(&pool, &rows(&configs, true), 2);
         for (p, o) in plain.reports[0].iter().zip(&obs.reports[0]) {
             assert_eq!(p.stats, o.stats, "{}: probing changed the run", p.workload);
             let m = o.obs.as_ref().expect("obs attached");

@@ -43,10 +43,10 @@ pub use diff::{
     diff_metrics, diff_metrics_with, flatten, parse_json, DiffOutcome, Json, Violation,
 };
 pub use engine::{
-    build_sample_plan, config_key, default_threads, run_grid, sweep_shares_snapshot,
-    telemetry_jsonl, warm_key, warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase,
-    SamplePlan, SimMode, WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS,
-    SAMPLE_WARM_PREFIX, TELEMETRY_SCHEMA_VERSION,
+    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, warm_key,
+    warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan, SimMode,
+    WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
+    TELEMETRY_SCHEMA_VERSION,
 };
 pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
 pub use history::{
@@ -68,6 +68,14 @@ pub use store::{
 /// Default measured trace length per workload (after an equal warmup).
 pub const DEFAULT_TRACE_LEN: u64 = 120_000;
 
+/// RFP with as many dedicated L1 ports as the core has load ports (the
+/// Fig. 14 axis).
+fn rfp_dedicated_ports() -> CoreConfig {
+    let mut c = CoreConfig::tiger_lake().with_rfp();
+    c.ports.dedicated_rfp = c.ports.load_ports;
+    c
+}
+
 /// Runs the whole suite under `cfg` on exactly `threads` work-stealing
 /// workers, with the default pool (exact warm sharing, full fidelity,
 /// no store). The result is byte-identical at every thread count.
@@ -87,7 +95,7 @@ fn suite_row(
     threads: usize,
     collect_obs: bool,
 ) -> (Vec<SimReport>, Vec<JobTelemetry>) {
-    let mut out = run_grid(pool, std::slice::from_ref(cfg), threads, collect_obs);
+    let mut out = run_grid(pool, &[(cfg.clone(), collect_obs)], threads);
     let reports = out.reports.pop().expect("one config in, one row out");
     (reports, out.telemetry)
 }
@@ -98,14 +106,12 @@ fn suite_row(
 pub struct Harness {
     len: u64,
     threads: usize,
-    cache: HashMap<u64, Vec<SimReport>>,
-    /// Obs-instrumented runs live in their own cache: an instrumented
-    /// report is *not* byte-identical to a plain one (its canonical text
-    /// carries the histograms), so the two kinds must never alias.
-    obs_cache: HashMap<u64, Vec<SimReport>>,
+    /// Suite rows keyed by `(config_key, obs)`: an instrumented report is
+    /// *not* byte-identical to a plain one (its canonical text carries
+    /// the histograms), so the two kinds never alias.
+    cache: HashMap<(u64, bool), Vec<SimReport>>,
     telemetry: Vec<JobTelemetry>,
-    /// Warm-state pool shared by every grid this harness runs, so the
-    /// observability re-runs fork the snapshots the plain sweep built.
+    /// Warm-state pool every grid this harness runs goes through.
     pool: WarmPool,
 }
 
@@ -115,7 +121,6 @@ impl std::fmt::Debug for Harness {
             .field("len", &self.len)
             .field("threads", &self.threads)
             .field("cached_runs", &self.cache.len())
-            .field("cached_obs_runs", &self.obs_cache.len())
             .finish()
     }
 }
@@ -143,23 +148,14 @@ impl Harness {
             len,
             threads: threads.max(1),
             cache: HashMap::new(),
-            obs_cache: HashMap::new(),
             telemetry: Vec::new(),
             pool,
         }
     }
 
-    /// The harness's warm-state pool (for stats reporting and pinning).
+    /// The harness's warm-state pool (for stats reporting).
     pub fn warm_pool(&self) -> &WarmPool {
         &self.pool
-    }
-
-    /// Pins `cfg`'s snapshots in the pool so they are built during the
-    /// main sweep and survive for follow-up grids — call before
-    /// [`Self::prefetch`] when an observability pass over `cfg` will
-    /// follow (`--metrics-out`, `timeliness`).
-    pub fn pin_config(&self, cfg: &CoreConfig) {
-        self.pool.pin_config(cfg);
     }
 
     /// Per-job host telemetry (worker, queue depth, wall time) from every
@@ -204,7 +200,7 @@ impl Harness {
             "ext1" => self.ext1(),
             "ext2" => self.ext2(),
             // Observability extras: not part of `ALL_IDS` (and so of `all`),
-            // because their instrumented runs don't share the plain cache.
+            // because their stdout carries probe-derived numbers.
             "timeliness" => self.timeliness(),
             "cpi" => self.cpi(),
             "profile" => self.profile(),
@@ -212,37 +208,70 @@ impl Harness {
         }
     }
 
-    /// Runs every configuration the listed experiments will need —
-    /// minus whatever is already cached — as **one** work-stealing grid,
-    /// so the whole machine stays busy across configuration boundaries
-    /// instead of draining between suites.
+    /// Runs every suite row the listed experiments will need — the plain
+    /// rows of [`Self::plan`] and the instrumented rows of
+    /// [`Self::obs_plan`], minus whatever is already cached — as **one**
+    /// work-stealing grid, so the whole machine stays busy across
+    /// configuration boundaries instead of draining between suites, and
+    /// a config's plain and instrumented rows fork one warm snapshot.
     ///
-    /// Purely an optimization: [`Self::plan`] may drift from what an
+    /// Purely an optimization: the plans may drift from what an
     /// experiment actually runs, in which case the content-keyed cache
     /// simply misses and the experiment fills it itself.
     pub fn prefetch(&mut self, ids: &[&str]) {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let pending: Vec<CoreConfig> = ids
+        self.prefetch_with_obs(ids, &[]);
+    }
+
+    /// [`Self::prefetch`] plus an instrumented row for each of `obs`:
+    /// the configs of the side documents ([`Self::metrics_json`],
+    /// [`Self::profile_json`], [`Self::sampling_json`], ...) the caller
+    /// will ask for after the experiments, planned into the same grid.
+    pub fn prefetch_with_obs(&mut self, ids: &[&str], obs: &[CoreConfig]) {
+        let plain = ids.iter().flat_map(|id| Self::plan(id)).map(|c| (c, false));
+        let instrumented = ids
             .iter()
-            .flat_map(|id| Self::plan(id))
-            .filter(|cfg| {
-                let key = config_key(cfg);
+            .flat_map(|id| Self::obs_plan(id))
+            .chain(obs.iter().cloned())
+            .map(|c| (c, true));
+        let mut seen: HashSet<(u64, bool)> = HashSet::new();
+        let pending: Vec<(CoreConfig, bool)> = plain
+            .chain(instrumented)
+            .filter(|(cfg, probed)| {
+                let key = (config_key(cfg), *probed);
                 !self.cache.contains_key(&key) && seen.insert(key)
             })
             .collect();
         if pending.is_empty() {
             return;
         }
-        let outcome = run_grid(&self.pool, &pending, self.threads, false);
+        let outcome = run_grid(&self.pool, &pending, self.threads);
         self.telemetry.extend(outcome.telemetry);
-        for (cfg, reports) in pending.iter().zip(outcome.reports) {
-            self.cache.insert(config_key(cfg), reports);
+        for ((cfg, probed), reports) in pending.iter().zip(outcome.reports) {
+            self.cache.insert((config_key(cfg), *probed), reports);
         }
     }
 
-    /// The configurations experiment `id` needs (empty for static
-    /// experiments and unknown ids). Kept alongside the experiment
-    /// methods; used by [`Self::prefetch`] to batch work up front.
+    /// The configurations the observability extra `id` runs instrumented
+    /// (empty for every other id). [`Self::prefetch`] plans them next to
+    /// [`Self::plan`]'s plain ones.
+    pub fn obs_plan(id: &str) -> Vec<CoreConfig> {
+        let rfp = CoreConfig::tiger_lake().with_rfp();
+        match id {
+            "timeliness" => vec![rfp, rfp_dedicated_ports()],
+            "cpi" => vec![
+                CoreConfig::tiger_lake(),
+                rfp,
+                CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf),
+            ],
+            "profile" => vec![rfp],
+            _ => Vec::new(),
+        }
+    }
+
+    /// The configurations experiment `id` needs uninstrumented (empty for
+    /// static experiments, the observability extras and unknown ids).
+    /// Kept alongside the experiment methods; used by [`Self::prefetch`]
+    /// to batch work up front.
     pub fn plan(id: &str) -> Vec<CoreConfig> {
         let base = CoreConfig::tiger_lake;
         let rfp = || CoreConfig::tiger_lake().with_rfp();
@@ -270,11 +299,7 @@ impl Harness {
                 CoreConfig::baseline_2x().with_rfp(),
             ],
             "fig13" | "s522" => vec![rfp()],
-            "fig14" => {
-                let mut dedicated = rfp();
-                dedicated.ports.dedicated_rfp = dedicated.ports.load_ports;
-                vec![base(), rfp(), dedicated]
-            }
+            "fig14" => vec![base(), rfp(), rfp_dedicated_ports()],
             "fig15" => {
                 let mut comp = base();
                 comp.vp = VpMode::Composite(ValuePredictorConfig::default(), DlvpConfig::default());
@@ -345,35 +370,31 @@ impl Harness {
     pub fn simulated_totals(&self) -> (u64, f64) {
         let mut uops = 0u64;
         let mut secs = 0f64;
-        for r in self.cache.values().chain(self.obs_cache.values()).flatten() {
+        for r in self.cache.values().flatten() {
             uops += r.stats.total_retired_uops;
             secs += r.wall_seconds();
         }
         (uops, secs)
     }
 
-    /// The `label` is human-readable only; cache identity comes from the
+    /// `cfg`'s plain suite row. Cache identity comes from the
     /// configuration content, so two experiments asking for the same
-    /// config under different labels share one run.
-    fn suite_for(&mut self, _label: &str, cfg: &CoreConfig) -> &[SimReport] {
+    /// config share one run.
+    fn suite_for(&mut self, cfg: &CoreConfig) -> &[SimReport] {
         self.cached_row(cfg, false)
     }
 
-    /// Like [`Self::suite_for`] but with a `MetricsSink` attached to every
-    /// simulation, cached separately (see the `obs_cache` field note).
-    fn obs_suite_for(&mut self, _label: &str, cfg: &CoreConfig) -> &[SimReport] {
+    /// Like [`Self::suite_for`] but with the obs sinks attached to every
+    /// simulation, cached apart (see the `cache` field note).
+    fn obs_suite_for(&mut self, cfg: &CoreConfig) -> &[SimReport] {
         self.cached_row(cfg, true)
     }
 
-    /// `cfg`'s row from the plain or the obs cache, simulated through the
-    /// pool on a miss.
+    /// `cfg`'s plain or instrumented row from the cache, simulated
+    /// through the pool on a miss.
     fn cached_row(&mut self, cfg: &CoreConfig, collect_obs: bool) -> &[SimReport] {
-        let cache = if collect_obs {
-            &mut self.obs_cache
-        } else {
-            &mut self.cache
-        };
-        cache.entry(config_key(cfg)).or_insert_with(|| {
+        let key = (config_key(cfg), collect_obs);
+        self.cache.entry(key).or_insert_with(|| {
             let (reports, telemetry) = suite_row(&self.pool, cfg, self.threads, collect_obs);
             self.telemetry.extend(telemetry);
             reports
@@ -381,39 +402,38 @@ impl Harness {
     }
 
     /// The `--metrics-out` payload for `cfg`, produced through the
-    /// harness's obs cache and warm pool — when `cfg` was pinned before
-    /// the main sweep, this forks the sweep's snapshots instead of paying
-    /// warmup again (and it shares the `timeliness` report's runs).
+    /// harness's cache and warm pool — after a
+    /// [`Self::prefetch_with_obs`] naming `cfg`, this reads the row the
+    /// main grid ran (and it shares the `timeliness` report's runs).
     pub fn metrics_json(&mut self, cfg: &CoreConfig) -> String {
         let len = self.len;
-        let reports = self.obs_suite_for("metrics", cfg).to_vec();
+        let reports = self.obs_suite_for(cfg).to_vec();
         metrics_reports_json(cfg, len, &reports)
     }
 
     /// The `--sampling-report` payload for `cfg` (see
-    /// [`sampling_report_json`]), produced through the obs cache — the
+    /// [`sampling_report_json`]), from `cfg`'s instrumented row — the
     /// metrics it summarizes come from whatever [`SimMode`] the harness's
     /// pool runs at, so the same call emits the full-fidelity reference
     /// or the sampled candidate.
     pub fn sampling_json(&mut self, cfg: &CoreConfig) -> String {
         let len = self.len;
-        let reports = self.obs_suite_for("sampling", cfg).to_vec();
+        let reports = self.obs_suite_for(cfg).to_vec();
         sampling_report_json(cfg, len, &reports)
     }
 
     fn baseline(&mut self) -> Vec<SimReport> {
-        self.suite_for("baseline", &CoreConfig::tiger_lake())
-            .to_vec()
+        self.suite_for(&CoreConfig::tiger_lake()).to_vec()
     }
 
     fn rfp(&mut self) -> Vec<SimReport> {
-        self.suite_for("rfp", &CoreConfig::tiger_lake().with_rfp())
+        self.suite_for(&CoreConfig::tiger_lake().with_rfp())
             .to_vec()
     }
 
-    fn speedup_vs_baseline(&mut self, key: &str, cfg: &CoreConfig) -> f64 {
+    fn speedup_vs_baseline(&mut self, cfg: &CoreConfig) -> f64 {
         let base = self.baseline();
-        let new = self.suite_for(key, cfg).to_vec();
+        let new = self.suite_for(cfg).to_vec();
         geomean_speedup(&base, &new).unwrap_or(1.0)
     }
 
@@ -429,10 +449,7 @@ impl Harness {
         ];
         let mut t = TextTable::new(&["oracle prefetch", "speedup (measured)", "paper"]);
         for (label, mode, paper) in rows {
-            let s = self.speedup_vs_baseline(
-                &format!("oracle-{label}"),
-                &CoreConfig::tiger_lake().with_oracle(mode),
-            );
+            let s = self.speedup_vs_baseline(&CoreConfig::tiger_lake().with_oracle(mode));
             t.row(&[label, &pct(s - 1.0), paper]);
         }
         format!(
@@ -628,11 +645,9 @@ impl Harness {
 
     /// Figure 12: RFP on the up-scaled `Baseline-2x` core.
     pub fn fig12(&mut self) -> String {
-        let base2 = self
-            .suite_for("baseline2x", &CoreConfig::baseline_2x())
-            .to_vec();
+        let base2 = self.suite_for(&CoreConfig::baseline_2x()).to_vec();
         let rfp2 = self
-            .suite_for("baseline2x-rfp", &CoreConfig::baseline_2x().with_rfp())
+            .suite_for(&CoreConfig::baseline_2x().with_rfp())
             .to_vec();
         let s = geomean_speedup(&base2, &rfp2).unwrap_or(1.0);
         let cov = mean_frac(&rfp2, |r| r.coverage());
@@ -687,9 +702,7 @@ impl Harness {
     pub fn fig14(&mut self) -> String {
         let base = self.baseline();
         let shared = self.rfp();
-        let mut dedicated_cfg = CoreConfig::tiger_lake().with_rfp();
-        dedicated_cfg.ports.dedicated_rfp = dedicated_cfg.ports.load_ports;
-        let dedicated = self.suite_for("rfp-dedicated", &dedicated_cfg).to_vec();
+        let dedicated = self.suite_for(&rfp_dedicated_ports()).to_vec();
         let s_sh = geomean_speedup(&base, &shared).unwrap_or(1.0);
         let s_de = geomean_speedup(&base, &dedicated).unwrap_or(1.0);
         let ex_sh = mean_frac(&shared, |r| r.executed_frac());
@@ -748,10 +761,10 @@ impl Harness {
         let mut fused = CoreConfig::tiger_lake().with_rfp();
         fused.vp = VpMode::Eves(ValuePredictorConfig::default());
 
-        let comp_r = self.suite_for("composite-vp", &comp).to_vec();
-        let epp_r = self.suite_for("epp", &epp).to_vec();
+        let comp_r = self.suite_for(&comp).to_vec();
+        let epp_r = self.suite_for(&epp).to_vec();
         let rfp_r = self.rfp();
-        let fused_r = self.suite_for("vp+rfp", &fused).to_vec();
+        let fused_r = self.suite_for(&fused).to_vec();
 
         let mut t = TextTable::new(&["configuration", "speedup", "coverage", "paper"]);
         t.row(&[
@@ -789,7 +802,7 @@ impl Harness {
     pub fn fig16(&mut self) -> String {
         let mut dl = CoreConfig::tiger_lake();
         dl.vp = VpMode::Dlvp(DlvpConfig::default());
-        let d = self.suite_for("dlvp", &dl).to_vec();
+        let d = self.suite_for(&dl).to_vec();
         let loads: u64 = d.iter().map(|r| r.stats.retired_loads).sum();
         let frac = |f: fn(&SimReport) -> u64| -> f64 {
             if loads == 0 {
@@ -849,7 +862,7 @@ impl Harness {
             if let Some(r) = cfg.rfp.as_mut() {
                 r.table.confidence_bits = *bits;
             }
-            let run = self.suite_for(&format!("rfp-conf{bits}"), &cfg).to_vec();
+            let run = self.suite_for(&cfg).to_vec();
             t.row(&[
                 &bits.to_string(),
                 &pct(geomean_speedup(&base, &run).unwrap_or(1.0) - 1.0),
@@ -875,7 +888,7 @@ impl Harness {
             if let Some(r) = cfg.rfp.as_mut() {
                 r.table.entries = *entries;
             }
-            let run = self.suite_for(&format!("rfp-pt{entries}"), &cfg).to_vec();
+            let run = self.suite_for(&cfg).to_vec();
             t.row(&[
                 &format!("{}K", entries / 1024),
                 &pct(geomean_speedup(&base, &run).unwrap_or(1.0) - 1.0),
@@ -898,8 +911,8 @@ impl Harness {
         base6.mem.l1.latency = 6;
         let mut rfp6 = CoreConfig::tiger_lake().with_rfp();
         rfp6.mem.l1.latency = 6;
-        let b6 = self.suite_for("baseline-l1lat6", &base6).to_vec();
-        let r6 = self.suite_for("rfp-l1lat6", &rfp6).to_vec();
+        let b6 = self.suite_for(&base6).to_vec();
+        let r6 = self.suite_for(&rfp6).to_vec();
         let mut t = TextTable::new(&["L1 latency", "RFP speedup", "paper"]);
         t.row(&[
             "5 cycles",
@@ -925,7 +938,7 @@ impl Harness {
         if let Some(r) = ctx.rfp.as_mut() {
             r.use_context = true;
         }
-        let c = self.suite_for("rfp-context", &ctx).to_vec();
+        let c = self.suite_for(&ctx).to_vec();
         let s_stride = geomean_speedup(&base, &rfp).unwrap_or(1.0);
         let s_ctx = geomean_speedup(&base, &c).unwrap_or(1.0);
         let mut t = TextTable::new(&["RFP prefetcher", "speedup", "coverage"]);
@@ -955,7 +968,7 @@ impl Harness {
         if let Some(r) = full.rfp.as_mut() {
             r.table.use_pat = false;
         }
-        let f = self.suite_for("rfp-fulladdr", &full).to_vec();
+        let f = self.suite_for(&full).to_vec();
         let s_pat = geomean_speedup(&base, &rfp).unwrap_or(1.0);
         let s_full = geomean_speedup(&base, &f).unwrap_or(1.0);
         let mut t = TextTable::new(&["PT address storage", "speedup", "PT size (1K entries)"]);
@@ -994,8 +1007,8 @@ impl Harness {
         if let Some(r) = drop_miss.rfp.as_mut() {
             r.continue_on_l1_miss = false;
         }
-        let kt = self.suite_for("rfp-keep-tlbmiss", &keep_tlb).to_vec();
-        let dm = self.suite_for("rfp-drop-l1miss", &drop_miss).to_vec();
+        let kt = self.suite_for(&keep_tlb).to_vec();
+        let dm = self.suite_for(&drop_miss).to_vec();
         let s0 = geomean_speedup(&base, &rfp).unwrap_or(1.0);
         let s1 = geomean_speedup(&base, &kt).unwrap_or(1.0);
         let s2 = geomean_speedup(&base, &dm).unwrap_or(1.0);
@@ -1037,20 +1050,20 @@ impl Harness {
         if let Some(r) = crit.rfp.as_mut() {
             r.critical_only = true;
         }
-        let crit_r = self.suite_for("rfp-critical", &crit).to_vec();
+        let crit_r = self.suite_for(&crit).to_vec();
 
         let mut small = CoreConfig::tiger_lake().with_rfp();
         if let Some(r) = small.rfp.as_mut() {
             r.table.entries = 128;
         }
-        let small_r = self.suite_for("rfp-pt128", &small).to_vec();
+        let small_r = self.suite_for(&small).to_vec();
 
         let mut crit_small = CoreConfig::tiger_lake().with_rfp();
         if let Some(r) = crit_small.rfp.as_mut() {
             r.critical_only = true;
             r.table.entries = 128;
         }
-        let cs_r = self.suite_for("rfp-critical-pt128", &crit_small).to_vec();
+        let cs_r = self.suite_for(&crit_small).to_vec();
 
         let mut t = TextTable::new(&["configuration", "speedup", "coverage", "injected"]);
         let mut row = |label: &str, rs: &[SimReport]| {
@@ -1091,8 +1104,8 @@ impl Harness {
         gbase.branch_mode = rfp_core::BranchMode::Gshare;
         let mut grfp = CoreConfig::tiger_lake().with_rfp();
         grfp.branch_mode = rfp_core::BranchMode::Gshare;
-        let gb = self.suite_for("baseline-gshare", &gbase).to_vec();
-        let gr = self.suite_for("rfp-gshare", &grfp).to_vec();
+        let gb = self.suite_for(&gbase).to_vec();
+        let gr = self.suite_for(&grfp).to_vec();
 
         let mut t = TextTable::new(&["front-end model", "RFP speedup", "baseline IPC (mean)"]);
         let mean_ipc = |rs: &[SimReport]| {
@@ -1131,11 +1144,9 @@ impl Harness {
     /// the rest died. Shared vs dedicated L1 ports (the Fig. 14 axis)
     /// shows how bandwidth shifts the whole distribution.
     pub fn timeliness(&mut self) -> String {
-        let shared = self.obs_suite_for("rfp-obs", &CoreConfig::tiger_lake().with_rfp());
+        let shared = self.obs_suite_for(&CoreConfig::tiger_lake().with_rfp());
         let sh = Self::merged_obs(shared);
-        let mut dedicated_cfg = CoreConfig::tiger_lake().with_rfp();
-        dedicated_cfg.ports.dedicated_rfp = dedicated_cfg.ports.load_ports;
-        let dedicated = self.obs_suite_for("rfp-dedicated-obs", &dedicated_cfg);
+        let dedicated = self.obs_suite_for(&rfp_dedicated_ports());
         let de = Self::merged_obs(dedicated);
 
         let frac = |num: u64, den: u64| {
@@ -1251,9 +1262,9 @@ impl Harness {
         let rfp_cfg = CoreConfig::tiger_lake().with_rfp();
         let oracle_cfg = CoreConfig::tiger_lake().with_oracle(OracleMode::L1ToRf);
         let width = base_cfg.retire_width as f64;
-        let base = self.obs_suite_for("baseline-obs", &base_cfg).to_vec();
-        let rfp = self.obs_suite_for("rfp-obs", &rfp_cfg).to_vec();
-        let oracle = self.obs_suite_for("oracle-l1-obs", &oracle_cfg).to_vec();
+        let base = self.obs_suite_for(&base_cfg).to_vec();
+        let rfp = self.obs_suite_for(&rfp_cfg).to_vec();
+        let oracle = self.obs_suite_for(&oracle_cfg).to_vec();
         let b = Self::merged_cpi(&base);
         let r = Self::merged_cpi(&rfp);
         let o = Self::merged_cpi(&oracle);
@@ -1400,7 +1411,7 @@ impl Harness {
     /// ([`Self::reconcile_profile`]); any mismatch is a hard error.
     pub fn profile(&mut self) -> String {
         let reports = self
-            .obs_suite_for("rfp-obs", &CoreConfig::tiger_lake().with_rfp())
+            .obs_suite_for(&CoreConfig::tiger_lake().with_rfp())
             .to_vec();
         let prof = Self::reconcile_profile(&reports);
         let t = prof.totals();
@@ -1556,7 +1567,7 @@ impl Harness {
     /// gate it with `experiments diff baselines/profile.json`.
     pub fn profile_json(&mut self, cfg: &CoreConfig) -> String {
         let len = self.len;
-        let reports = self.obs_suite_for("profile", cfg).to_vec();
+        let reports = self.obs_suite_for(cfg).to_vec();
         profile_reports_json(cfg, len, &reports)
     }
 
@@ -1564,7 +1575,7 @@ impl Harness {
     /// profile as collapsed stacks (`pc;outcome count` lines) for
     /// flamegraph tooling.
     pub fn profile_collapsed(&mut self, cfg: &CoreConfig) -> String {
-        let reports = self.obs_suite_for("profile", cfg).to_vec();
+        let reports = self.obs_suite_for(cfg).to_vec();
         Self::merged_profile(&reports).collapsed()
     }
 
@@ -1788,6 +1799,11 @@ pub fn sampling_error_report_json(full_text: &str, sampled_text: &str) -> Result
 mod tests {
     use super::*;
 
+    /// How many plain (`obs` false) or instrumented rows `h` holds.
+    fn cached(h: &Harness, obs: bool) -> usize {
+        h.cache.keys().filter(|(_, o)| *o == obs).count()
+    }
+
     #[test]
     fn static_experiments_render() {
         let mut h = Harness::new(5_000);
@@ -1824,6 +1840,23 @@ mod tests {
     }
 
     #[test]
+    fn one_prefetch_covers_every_experiment() {
+        // Every row an experiment reads must come from the one planned
+        // grid: a row the plans miss would run as a follow-up grid and
+        // leave telemetry behind.
+        let mut ids = Harness::ALL_IDS.to_vec();
+        ids.extend(["timeliness", "cpi", "profile"]);
+        let mut h = Harness::with_threads(300, 2);
+        h.prefetch(&ids);
+        let jobs = h.job_telemetry().len();
+        for id in &ids {
+            h.run(id);
+            assert_eq!(h.job_telemetry().len(), jobs, "{id} ran a follow-up grid");
+        }
+        assert_eq!(h.warm_pool().stats().live_snapshots, 0);
+    }
+
+    #[test]
     fn timeliness_is_an_extra_outside_all() {
         // `all` must stay byte-identical to pre-observability builds, so
         // the timeliness report dispatches by name without joining the
@@ -1834,10 +1867,10 @@ mod tests {
         assert!(s.contains("fully hidden"));
         assert!(s.contains("queue-full"));
         assert!(s.contains("Completion distribution"));
-        // Instrumented runs never pollute the plain cache (their canonical
-        // text differs), and every grid leaves telemetry behind.
-        assert_eq!(h.cache.len(), 0);
-        assert_eq!(h.obs_cache.len(), 2);
+        // Instrumented runs never alias plain ones (their canonical text
+        // differs), and every grid leaves telemetry behind.
+        assert_eq!(cached(&h, false), 0);
+        assert_eq!(cached(&h, true), 2);
         assert!(!h.job_telemetry().is_empty());
     }
 
@@ -1853,8 +1886,8 @@ mod tests {
         assert!(s.contains("Headroom cross-check"));
         assert!(s.contains("interval time-series"));
         // Three instrumented configs (baseline, RFP, oracle), no plain runs.
-        assert_eq!(h.cache.len(), 0);
-        assert_eq!(h.obs_cache.len(), 3);
+        assert_eq!(cached(&h, false), 0);
+        assert_eq!(cached(&h, true), 3);
     }
 
     #[test]
@@ -1869,12 +1902,12 @@ mod tests {
         assert!(s.contains("useful, fully hidden"));
         assert!(s.contains("0x"), "sites are hex PCs");
         // One instrumented config (RFP), no plain runs.
-        assert_eq!(h.cache.len(), 0);
-        assert_eq!(h.obs_cache.len(), 1);
+        assert_eq!(cached(&h, false), 0);
+        assert_eq!(cached(&h, true), 1);
         // The shared obs pass: `timeliness` reuses the RFP run the
         // profiler just paid for and only adds the dedicated-ports one.
         h.run("timeliness");
-        assert_eq!(h.obs_cache.len(), 2, "rfp obs run simulated once");
+        assert_eq!(cached(&h, true), 2, "rfp obs run simulated once");
     }
 
     #[test]
@@ -1897,7 +1930,7 @@ mod tests {
             assert!(count.parse::<u64>().is_ok(), "{line}");
         }
         // Both went through the same obs pass: one cached run.
-        assert_eq!(h.obs_cache.len(), 1);
+        assert_eq!(cached(&h, true), 1);
     }
 
     #[test]

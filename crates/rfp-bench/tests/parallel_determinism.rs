@@ -11,6 +11,11 @@ use rfp_stats::{CpiBucket, CpiReport, ObsMetrics, ProfileReport, SimReport};
 
 const LEN: u64 = 3_000;
 
+/// One grid row per config, every row with the same obs flag.
+fn rows(configs: &[CoreConfig], obs: bool) -> Vec<(CoreConfig, bool)> {
+    configs.iter().map(|c| (c.clone(), obs)).collect()
+}
+
 fn serial_reference(cfg: &CoreConfig) -> Vec<SimReport> {
     rfp_trace::suite()
         .iter()
@@ -21,7 +26,12 @@ fn serial_reference(cfg: &CoreConfig) -> Vec<SimReport> {
 /// `configs`' suite rows through a fresh default pool (exact warm
 /// sharing, full fidelity, no store), probed when `obs`.
 fn grid(configs: &[CoreConfig], len: u64, threads: usize, obs: bool) -> Vec<Vec<SimReport>> {
-    run_grid(&WarmPool::new(WarmMode::Exact, len), configs, threads, obs).reports
+    run_grid(
+        &WarmPool::new(WarmMode::Exact, len),
+        &rows(configs, obs),
+        threads,
+    )
+    .reports
 }
 
 fn canonical_bytes(reports: &[SimReport]) -> Vec<u8> {
@@ -279,7 +289,11 @@ fn warm_forks_are_byte_identical_to_straight_through() {
     let configs = [a, b];
     let len = 1_500;
     for collect_obs in [false, true] {
-        let reference = run_grid(&WarmPool::new(WarmMode::Off, len), &configs, 1, collect_obs);
+        let reference = run_grid(
+            &WarmPool::new(WarmMode::Off, len),
+            &rows(&configs, collect_obs),
+            1,
+        );
         let reference_bytes: Vec<Vec<u8>> = reference
             .reports
             .iter()
@@ -287,7 +301,7 @@ fn warm_forks_are_byte_identical_to_straight_through() {
             .collect();
         for threads in [1, 2, 8] {
             let pool = WarmPool::new(WarmMode::Exact, len);
-            let got = run_grid(&pool, &configs, threads, collect_obs);
+            let got = run_grid(&pool, &rows(&configs, collect_obs), threads);
             assert!(
                 got.telemetry.iter().all(|t| t.warm == "fork"),
                 "threads={threads} obs={collect_obs}: every job must fork"
@@ -323,9 +337,8 @@ fn sampled_runs_are_byte_identical_at_any_thread_count_and_probe_setting() {
     let len = 2 * SAMPLE_INTERVAL_UOPS + 1024;
     let reference = run_grid(
         &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
-        &configs,
+        &rows(&configs, false),
         1,
-        false,
     );
     // The baseline is its own warm twin (resume path); the RFP config
     // transplants the twin's caches into a fresh core. Both sampled
@@ -351,9 +364,8 @@ fn sampled_runs_are_byte_identical_at_any_thread_count_and_probe_setting() {
         for collect_obs in [false, true] {
             let got = run_grid(
                 &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
-                &configs,
+                &rows(&configs, collect_obs),
                 threads,
-                collect_obs,
             );
             for (row, (g, r)) in got.reports.iter().zip(&reference_bytes).enumerate() {
                 if collect_obs {
@@ -386,9 +398,8 @@ fn sampled_single_config_grid_forks_its_own_twin() {
     let len = 3 * SAMPLE_INTERVAL_UOPS;
     let reference = run_grid(
         &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
-        std::slice::from_ref(&cfg),
+        &rows(std::slice::from_ref(&cfg), false),
         1,
-        false,
     );
     assert!(
         reference.telemetry.iter().all(|t| t.warm == "sample-fork"),
@@ -398,9 +409,8 @@ fn sampled_single_config_grid_forks_its_own_twin() {
     for threads in [2, 8] {
         let got = run_grid(
             &WarmPool::with_sim(WarmMode::Exact, SimMode::Sample, len),
-            std::slice::from_ref(&cfg),
+            &rows(std::slice::from_ref(&cfg), false),
             threads,
-            false,
         );
         assert_eq!(
             canonical_bytes(&got.reports[0]),
@@ -429,7 +439,7 @@ fn engine_spans_are_deterministic_across_threads_and_warm_modes() {
         for threads in [1, 2, 8] {
             let tracer = Arc::new(EngineTracer::new());
             let pool = WarmPool::new(mode, len).with_tracer(Some(tracer.clone()));
-            let _ = run_grid(&pool, &configs, threads, false);
+            let _ = run_grid(&pool, &rows(&configs, false), threads);
             assert_eq!(tracer.dropped(), 0);
             let text = tracer.deterministic_text();
             assert!(text.contains("claim "), "{mode:?}: no claim spans");
@@ -467,7 +477,7 @@ fn engine_trace_json_parses_and_report_renders_deterministically() {
     let configs = [a, b];
     let tracer = Arc::new(EngineTracer::new());
     let pool = WarmPool::new(WarmMode::Exact, LEN).with_tracer(Some(tracer.clone()));
-    let outcome = run_grid(&pool, &configs, 4, false);
+    let outcome = run_grid(&pool, &rows(&configs, false), 4);
     let metrics = engine_metrics(&tracer, &outcome.telemetry, &pool.stats(), None);
     assert_eq!(metrics.jobs, outcome.telemetry.len() as u64);
     assert!(metrics.snapshot_misses > 0);
@@ -542,9 +552,8 @@ mod persistent_store {
         for collect_obs in [false, true] {
             let reference = run_grid(
                 &WarmPool::new(WarmMode::Exact, len),
-                &configs,
+                &rows(&configs, collect_obs),
                 1,
-                collect_obs,
             );
             assert!(
                 reference.telemetry.iter().all(|t| t.store == "off"),
@@ -566,7 +575,7 @@ mod persistent_store {
             };
             // Cold: every result is a miss, simulated and published.
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-            let cold = run_grid(&pool, &configs, 2, collect_obs);
+            let cold = run_grid(&pool, &rows(&configs, collect_obs), 2);
             assert!(
                 cold.telemetry
                     .iter()
@@ -578,7 +587,7 @@ mod persistent_store {
             // arena recompiles — at every thread count the CI matrix uses.
             for threads in [1, 2, 8] {
                 let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-                let warm = run_grid(&pool, &configs, threads, collect_obs);
+                let warm = run_grid(&pool, &rows(&configs, collect_obs), threads);
                 assert!(
                     warm.telemetry
                         .iter()
@@ -595,7 +604,7 @@ mod persistent_store {
             let store = scratch.open();
             assert!(store.clear_tier(Tier::Result) > 0);
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(store.clone()));
-            let resnap = run_grid(&pool, &configs, 2, collect_obs);
+            let resnap = run_grid(&pool, &rows(&configs, collect_obs), 2);
             assert!(
                 resnap
                     .telemetry
@@ -633,17 +642,21 @@ mod persistent_store {
                 2 * SAMPLE_INTERVAL_UOPS + 1024,
             ),
         ] {
-            let reference = run_grid(&WarmPool::with_sim(mode, sim, len), &configs, 1, false);
+            let reference = run_grid(
+                &WarmPool::with_sim(mode, sim, len),
+                &rows(&configs, false),
+                1,
+            );
             let reference_bytes: Vec<Vec<u8>> = reference
                 .reports
                 .iter()
                 .map(|r| canonical_bytes(r))
                 .collect();
             let cold_pool = WarmPool::with_sim(mode, sim, len).with_store(Some(scratch.open()));
-            let cold = run_grid(&cold_pool, &configs, 2, false);
+            let cold = run_grid(&cold_pool, &rows(&configs, false), 2);
             assert!(cold.telemetry.iter().all(|t| t.store == "miss"));
             let warm_pool = WarmPool::with_sim(mode, sim, len).with_store(Some(scratch.open()));
-            let warm = run_grid(&warm_pool, &configs, 8, false);
+            let warm = run_grid(&warm_pool, &rows(&configs, false), 8);
             assert!(
                 warm.telemetry
                     .iter()
@@ -667,14 +680,18 @@ mod persistent_store {
         let scratch = Scratch::new("corrupt");
         let configs = [CoreConfig::tiger_lake().with_rfp()];
         let len = 1_500;
-        let reference = run_grid(&WarmPool::new(WarmMode::Exact, len), &configs, 1, false);
+        let reference = run_grid(
+            &WarmPool::new(WarmMode::Exact, len),
+            &rows(&configs, false),
+            1,
+        );
         let reference_bytes: Vec<Vec<u8>> = reference
             .reports
             .iter()
             .map(|r| canonical_bytes(r))
             .collect();
         let fill = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-        let _ = run_grid(&fill, &configs, 2, false);
+        let _ = run_grid(&fill, &rows(&configs, false), 2);
         // Vandalise three quarters of every tier — truncation, a body
         // bit-flip, and a version-byte flip — leaving every fourth entry
         // intact so hits and misses coexist in one run.
@@ -703,7 +720,7 @@ mod persistent_store {
         assert!(damaged > 0, "the fill run must have populated the store");
         let store = scratch.open();
         let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(store.clone()));
-        let got = run_grid(&pool, &configs, 8, false);
+        let got = run_grid(&pool, &rows(&configs, false), 8);
         for (row, (g, r)) in got.reports.iter().zip(&reference_bytes).enumerate() {
             assert_eq!(
                 &canonical_bytes(g),
@@ -721,7 +738,7 @@ mod persistent_store {
         let healed_store = scratch.open();
         let healed_pool =
             WarmPool::new(WarmMode::Exact, len).with_store(Some(healed_store.clone()));
-        let healed = run_grid(&healed_pool, &configs, 2, false);
+        let healed = run_grid(&healed_pool, &rows(&configs, false), 2);
         assert!(healed.telemetry.iter().all(|t| t.store == "hit"));
         assert_eq!(healed_store.stats().corrupt, 0);
         for (row, (g, r)) in healed.reports.iter().zip(&reference_bytes).enumerate() {
@@ -742,7 +759,6 @@ mod persistent_store {
         let cfg = CoreConfig::tiger_lake().with_rfp();
         let record_text = |pool: WarmPool, threads: usize| -> (String, String) {
             let mut h = Harness::with_pool(len, threads, pool);
-            h.pin_config(&cfg);
             let report = h.sampling_json(&cfg);
             // Two records from the same sweep in a fresh ledger: `show`
             // exercises the full canonical text, `trend` the gating math
@@ -765,7 +781,6 @@ mod persistent_store {
         {
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(warm_scratch.open()));
             let mut h = Harness::with_pool(len, 2, pool);
-            h.pin_config(&cfg);
             let _ = h.sampling_json(&cfg);
         }
         let mut reference: Option<(String, String)> = None;
@@ -816,7 +831,7 @@ mod persistent_store {
             let pool = WarmPool::new(WarmMode::Exact, len)
                 .with_store(Some(store))
                 .with_tracer(Some(tracer.clone()));
-            let _ = run_grid(&pool, &configs, threads, false);
+            let _ = run_grid(&pool, &rows(&configs, false), threads);
             tracer.deterministic_text()
         };
         let mut cold_ref: Option<String> = None;
@@ -835,7 +850,7 @@ mod persistent_store {
         let scratch = Scratch::new("span-warm");
         {
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(scratch.open()));
-            let _ = run_grid(&pool, &configs, 2, false);
+            let _ = run_grid(&pool, &rows(&configs, false), 2);
         }
         let mut warm_ref: Option<String> = None;
         for threads in [1, 2, 8] {

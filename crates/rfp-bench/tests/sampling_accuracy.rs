@@ -25,7 +25,7 @@ const TOLERANCES_PATH: &str = concat!(
 fn rfp_row(sim: SimMode) -> Vec<SimReport> {
     let cfg = CoreConfig::tiger_lake().with_rfp();
     let pool = WarmPool::with_sim(WarmMode::Exact, sim, LEN);
-    run_grid(&pool, std::slice::from_ref(&cfg), 4, true)
+    run_grid(&pool, &[(cfg, true)], 4)
         .reports
         .pop()
         .expect("one config in, one row out")

@@ -58,12 +58,13 @@
 //! `diff`, so the report predicts the gate outcome.
 //!
 //! Persistent store: with `RFP_STORE=<dir>` (or `--store DIR`;
-//! `--no-store` disables), finished job results, warm snapshots and
-//! compiled trace arenas are cached on disk content-addressed by their
-//! full inputs, so an unchanged job is a file read instead of a
-//! simulation. Stdout is byte-identical with the store off, cold or
-//! warm. `experiments store stats | gc --max-bytes N | clear` maintains
-//! the directory.
+//! `--no-store` disables), finished job results are cached on disk
+//! content-addressed by their full inputs, so an unchanged job is a file
+//! read instead of a simulation; traces and warm snapshots are rebuilt in
+//! memory by every run. Stdout is byte-identical with the store off, cold,
+//! warm or invalidated. `experiments store stats | gc --max-bytes N |
+//! clear` maintains the directory; `gc` also removes every warm-snapshot
+//! and trace entry that earlier versions wrote.
 //!
 //! `experiments inspect [--inspect-out FILE] [--konata-out FILE]
 //! <workload>` runs the two-pass anomaly → flight-recorder flow on one

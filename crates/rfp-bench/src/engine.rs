@@ -317,7 +317,8 @@ impl WarmPoolStats {
 /// Shared warm-state cache behind the grid runners: memoizes one
 /// synthesized trace per workload and one [`WarmState`] per
 /// `(warm key, workload)` cell, both `Arc`-shared across the
-/// work-stealing workers.
+/// work-stealing workers. Both live in memory only; a configured store
+/// serves finished job results and nothing else.
 ///
 /// Snapshots are built lazily inside a per-cell `OnceLock`, so two
 /// workers racing to the same cell build it exactly once and one of them
@@ -335,9 +336,9 @@ pub struct WarmPool {
     /// Warmup uops per run (`len / 2`, matching `simulate_workload`).
     warmup: u64,
     /// Persistent content-addressed store ([`crate::ExpStore`]), when
-    /// configured: warm snapshots and compiled arenas are looked up here
-    /// before being built (and published after), and the grid runner
-    /// checks it for finished job results before simulating at all.
+    /// configured: the grid runner checks it for finished job results
+    /// before simulating at all, and publishes each result it simulates.
+    /// Traces and warm snapshots stay in memory.
     store: Option<Arc<ExpStore>>,
     /// Engine self-tracer ([`EngineTracer`]), when armed: the pool and
     /// the grid runner record spans for trace compiles, warm captures,
@@ -395,7 +396,7 @@ impl WarmPool {
         }
     }
 
-    /// Replaces the pool's persistent store (`None`, the default,
+    /// Replaces the pool's persistent result store (`None`, the default,
     /// disables it).
     pub fn with_store(mut self, store: Option<Arc<ExpStore>>) -> Self {
         self.store = store;
@@ -467,59 +468,18 @@ impl WarmPool {
         if let Some(t) = traces.get(&wi) {
             return Arc::clone(t);
         }
-        // Built (or loaded) while holding the lock: compilation is ~1%
-        // of a job's simulation time, and building once beats racing
-        // builds.
+        // Built while holding the lock: compilation is ~1% of a job's
+        // simulation time, and building once beats racing builds. It is
+        // never read from the store: decoding an arena costs more than
+        // compiling it.
         let total = self.measured + self.warmup;
-        let name = suite[wi].name;
         let t0 = self.tracer.as_ref().map(|tr| tr.now_nanos());
-        let span = |outcome: &'static str, fields: Vec<(&'static str, u64)>| {
-            if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
-                tr.record("trace-compile", name.to_string(), outcome, fields, lane, t0);
-            }
-        };
-        let t = if let Some(s) = &self.store {
-            let key = store::trace_key(total, self.warmup, SAMPLE_INTERVAL_UOPS, name);
-            match s.get::<CompiledTrace>(Tier::Trace, &key) {
-                Some((t, n)) => {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-get",
-                            format!("trace|{name}"),
-                            "hit",
-                            vec![("bytes", n)],
-                            lane,
-                        );
-                    }
-                    span("store-hit", vec![("uops", total), ("bytes", n)]);
-                    Arc::new(t)
-                }
-                None => {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant("store-get", format!("trace|{name}"), "miss", vec![], lane);
-                    }
-                    self.trace_builds.fetch_add(1, Ordering::Relaxed);
-                    let t = suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS);
-                    let written = s.put(Tier::Trace, &key, &t);
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-put",
-                            format!("trace|{name}"),
-                            "published",
-                            vec![("bytes", written)],
-                            lane,
-                        );
-                    }
-                    span("built", vec![("uops", total)]);
-                    Arc::new(t)
-                }
-            }
-        } else {
-            self.trace_builds.fetch_add(1, Ordering::Relaxed);
-            let t = Arc::new(suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS));
-            span("built", vec![("uops", total)]);
-            t
-        };
+        self.trace_builds.fetch_add(1, Ordering::Relaxed);
+        let t = Arc::new(suite[wi].compiled(total, self.warmup, SAMPLE_INTERVAL_UOPS));
+        if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
+            let (name, fields) = (suite[wi].name.to_string(), vec![("uops", total)]);
+            tr.record("trace-compile", name, "built", fields, lane, t0);
+        }
         traces.insert(wi, Arc::clone(&t));
         t
     }
@@ -562,71 +522,17 @@ impl WarmPool {
         let state = cell.get_or_init(|| {
             built = true;
             self.snapshot_misses.fetch_add(1, Ordering::Relaxed);
-            let name = suite[wi].name;
             let t0 = self.tracer.as_ref().map(|tr| tr.now_nanos());
-            let span = |outcome: &'static str, fields: Vec<(&'static str, u64)>| {
-                if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
-                    tr.record(
-                        "warm-capture",
-                        format!("{name}|{key:016x}"),
-                        outcome,
-                        fields,
-                        lane,
-                        t0,
-                    );
-                }
-            };
-            // The persistent store is checked under the *projection* key:
-            // configs sharing a projection produce bit-identical warm
-            // state, so a snapshot persisted by one serves them all —
-            // across sweeps and processes, not just within this grid.
-            if let Some(s) = &self.store {
-                let skey = store::warm_snapshot_key(self.warmup, name, &warm_projection(cfg));
-                if let Some((ws, n)) = s.get::<WarmState>(Tier::Warm, &skey) {
-                    if let Some(tr) = &self.tracer {
-                        tr.instant(
-                            "store-get",
-                            format!("warm|{name}|{key:016x}"),
-                            "hit",
-                            vec![("bytes", n)],
-                            lane,
-                        );
-                    }
-                    span("store-hit", vec![("warmup", self.warmup), ("bytes", n)]);
-                    return Arc::new(ws);
-                }
-                if let Some(tr) = &self.tracer {
-                    tr.instant(
-                        "store-get",
-                        format!("warm|{name}|{key:016x}"),
-                        "miss",
-                        vec![],
-                        lane,
-                    );
-                }
-                let trace = self.trace(suite, wi, lane);
-                let ws =
-                    warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
-                        .expect("valid config");
-                let written = s.put(Tier::Warm, &skey, &ws);
-                if let Some(tr) = &self.tracer {
-                    tr.instant(
-                        "store-put",
-                        format!("warm|{name}|{key:016x}"),
-                        "published",
-                        vec![("bytes", written)],
-                        lane,
-                    );
-                }
-                span("built", vec![("warmup", self.warmup)]);
-                return Arc::new(ws);
-            }
             let trace = self.trace(suite, wi, lane);
             let ws = Arc::new(
                 warm_up_workload(cfg, &suite[wi], self.warmup, trace.ops().iter().copied())
                     .expect("valid config"),
             );
-            span("built", vec![("warmup", self.warmup)]);
+            if let (Some(tr), Some(t0)) = (&self.tracer, t0) {
+                let cell = format!("{}|{key:016x}", suite[wi].name);
+                let fields = vec![("warmup", self.warmup)];
+                tr.record("warm-capture", cell, "built", fields, lane, t0);
+            }
             ws
         });
         if !built {
@@ -719,11 +625,9 @@ fn plan_jobs(pool: &WarmPool, rows: &[(CoreConfig, bool)]) -> (Vec<JobPlan>, Vec
             }
         })
         .collect();
-    // A snapshot pays for itself when its sharing key serves >= 2 jobs.
-    // With a persistent store every snapshot is worthy: a one-off build
-    // is amortized across future sweeps, and a persisted snapshot turns
-    // a singleton job's warmup into one disk read. (Byte-identity is
-    // unaffected — the fork path is exact by construction.)
+    // A snapshot pays for itself when its sharing key serves >= 2 jobs,
+    // store or no store: snapshots live only in memory, so one that
+    // nothing forks twice is capture cost for nothing.
     let mut groups: HashMap<u64, usize> = HashMap::new();
     let mut sizes: Vec<usize> = Vec::new();
     for p in &mut plans {
@@ -734,7 +638,7 @@ fn plan_jobs(pool: &WarmPool, rows: &[(CoreConfig, bool)]) -> (Vec<JobPlan>, Vec
         sizes[p.group] += 1;
     }
     for p in &mut plans {
-        p.worthy = sizes[p.group] >= 2 || pool.store.is_some();
+        p.worthy = sizes[p.group] >= 2;
     }
     (plans, sizes)
 }
@@ -1030,9 +934,7 @@ pub struct JobTelemetry {
     pub warm: &'static str,
     /// Result-store outcome for this job: `"off"` (no store configured),
     /// `"hit"` (report read from disk, nothing simulated) or `"miss"`
-    /// (simulated, then published). Warm-snapshot and trace-arena store
-    /// traffic is shared across jobs and therefore only appears in the
-    /// store's aggregate counters, not here.
+    /// (simulated, then published).
     pub store: &'static str,
     /// Result-entry bytes read on a store hit (0 otherwise).
     pub store_bytes_read: u64,
@@ -1352,6 +1254,25 @@ mod tests {
         configs.iter().map(|c| (c.clone(), obs)).collect()
     }
 
+    /// A fresh store directory, removed on drop.
+    struct Dir(std::path::PathBuf);
+
+    impl Dir {
+        fn new(tag: &str) -> Dir {
+            Dir(std::env::temp_dir().join(format!("rfp-engine-{tag}-{}", std::process::id())))
+        }
+
+        fn store(&self) -> Option<Arc<ExpStore>> {
+            Some(Arc::new(ExpStore::open(&self.0).expect("open store")))
+        }
+    }
+
+    impl Drop for Dir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn config_key_is_content_based() {
         let a = CoreConfig::tiger_lake();
@@ -1615,24 +1536,16 @@ mod tests {
 
     #[test]
     fn pool_spans_nest_in_a_simulate_span_on_their_own_lane() {
-        /// A fresh store directory, removed on drop.
-        struct Dir(std::path::PathBuf);
-        impl Drop for Dir {
-            fn drop(&mut self) {
-                let _ = std::fs::remove_dir_all(&self.0);
-            }
-        }
-        let dir =
-            Dir(std::env::temp_dir().join(format!("rfp-engine-lanes-{}", std::process::id())));
-        let store = Arc::new(ExpStore::open(&dir.0).expect("open store"));
+        let dir = Dir::new("lanes");
         let tracer = Arc::new(EngineTracer::new());
-        // A and B share a warm key; with a store every config forks.
+        // A and B share a warm key and fork; the RFP config runs
+        // straight.
         let a = CoreConfig::tiger_lake();
         let mut b = a.clone();
         b.seed ^= 0x5eed;
         let configs = [a, b, CoreConfig::tiger_lake().with_rfp()];
         let pool = WarmPool::new(WarmMode::Exact, 300)
-            .with_store(Some(store))
+            .with_store(dir.store())
             .with_tracer(Some(Arc::clone(&tracer)));
         let out = run_grid(&pool, &rows(&configs, false), 2);
         let spans = tracer.spans();
@@ -1678,6 +1591,25 @@ mod tests {
         let out = run_grid(&pool, &rows(&configs, false), 2);
         assert!(out.telemetry.iter().all(|t| t.warm == "straight"));
         assert_eq!(pool.stats().snapshot_misses, 0);
+    }
+
+    #[test]
+    fn a_store_does_not_make_a_singleton_snapshot_worthy() {
+        let dir = Dir::new("singletons");
+        let configs = [
+            CoreConfig::tiger_lake(),
+            CoreConfig::tiger_lake().with_rfp(),
+        ];
+        assert_ne!(warm_key(&configs[0]), warm_key(&configs[1]));
+        let pool = WarmPool::new(WarmMode::Exact, 300).with_store(dir.store());
+        let out = run_grid(&pool, &rows(&configs, false), 2);
+        assert_eq!(pool.stats().snapshot_misses, 0);
+        assert!(out.telemetry.iter().all(|t| t.warm == "straight"));
+        let off = WarmPool::new(WarmMode::Exact, 300);
+        let off = run_grid(&off, &rows(&configs, false), 2).reports;
+        for (s, o) in out.reports.iter().flatten().zip(off.iter().flatten()) {
+            assert_eq!(s.canonical_text(), o.canonical_text(), "{}", s.workload);
+        }
     }
 
     #[test]

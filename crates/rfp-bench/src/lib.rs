@@ -61,8 +61,7 @@ pub use run_env::{
     NonEmptyPath, RunEnv, KNOBS,
 };
 pub use store::{
-    render_store_stats, result_key, trace_key, warm_snapshot_key, ExpStore, StoreStats, Tier,
-    TierUsage, STORE_SCHEMA_VERSION,
+    render_store_stats, result_key, ExpStore, StoreStats, Tier, TierUsage, STORE_SCHEMA_VERSION,
 };
 
 /// Default measured trace length per workload (after an equal warmup).

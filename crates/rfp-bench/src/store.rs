@@ -2,23 +2,22 @@
 //!
 //! Sweeps are pure functions of their inputs: a job result is fully
 //! determined by the workload, the trace parameters, the configuration
-//! and the engine modes. The store persists three tiers of that work
-//! under a root directory so the *next* sweep — same process or next
-//! week's CI run — pays only for what actually changed:
+//! and the engine modes. The store persists that work under a root
+//! directory so the *next* sweep — same process or next week's CI run —
+//! pays only for what actually changed:
 //!
-//! - `results/` — one [`SimReport`](rfp_stats::SimReport) per
-//!   `(schema, trace params, config, sim mode, warm mode, probe arm,
-//!   workload)` job.
-//! - `warm/` — one [`WarmState`](rfp_core::WarmState) per
-//!   `(warm projection, warmup, workload)` cell, so a cold result store
-//!   still skips every warmup.
-//! - `traces/` — one [`CompiledTrace`](rfp_trace::CompiledTrace) arena
-//!   per `(trace params, workload)`.
+//! - `results/` — the one cache tier: one
+//!   [`SimReport`](rfp_stats::SimReport) per `(schema, trace params,
+//!   config, sim mode, warm mode, probe arm, workload)` job.
 //! - `history/` — the append-only run-history ledger
 //!   (`crate::history`): one `RunRecord` per labelled sweep. Unlike the
-//!   three cache tiers above, ledger entries are *records*, not
-//!   recomputable cache state, so [`ExpStore::gc`] excludes the tier
-//!   unless explicitly asked (`store gc --include-history`).
+//!   cache tier, ledger entries are *records*, not recomputable cache
+//!   state, so [`ExpStore::gc`] excludes the tier unless explicitly
+//!   asked (`store gc --include-history`).
+//! - `warm/` and `traces/` — warm snapshots and compiled trace arenas,
+//!   which earlier versions cached. No run reads or writes them; `gc`
+//!   empties them whatever its budget, and `store stats` still lists
+//!   them.
 //!
 //! Entries are content-addressed: the file name is the FNV-1a digest of
 //! a canonical key string, and the full key is stored *inside* the entry
@@ -54,25 +53,19 @@ const MAGIC: &[u8; 8] = b"RFPSTORE";
 /// Store schema version. Bump whenever the envelope or the wire format
 /// of any persisted payload changes (a codec layout change in any crate
 /// counts): old entries then read as misses and are overwritten by fresh
-/// results. A change confined to the warm tier's payload bumps
-/// [`WARM_SNAPSHOT_VERSION`] instead, so the other tiers survive it.
-/// Schema 2 seals entries with the word-wise `entry_checksum`.
+/// results. Schema 2 seals entries with the word-wise `entry_checksum`.
 pub const STORE_SCHEMA_VERSION: u32 = 2;
-
-/// Layout version of the warm tier's [`WarmState`](rfp_core::WarmState)
-/// payload, spelled into [`warm_snapshot_key`] only: entries of an older
-/// layout are never looked up again, so they cannot be misparsed. Version
-/// 2 writes only the valid ways of each cache and TLB set.
-const WARM_SNAPSHOT_VERSION: u32 = 2;
 
 /// The four content tiers of an [`ExpStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Finished per-job [`SimReport`](rfp_stats::SimReport)s.
     Result,
-    /// Per-`(projection, workload)` warm snapshots.
+    /// Per-`(projection, workload)` warm snapshots: written by earlier
+    /// versions only, and emptied by [`ExpStore::gc`].
     Warm,
-    /// Compiled trace arenas.
+    /// Compiled trace arenas: written by earlier versions only, and
+    /// emptied by [`ExpStore::gc`].
     Trace,
     /// Append-only run-history ledger records (`crate::history`).
     History,
@@ -325,11 +318,11 @@ impl ExpStore {
         }
     }
 
-    /// Every `.bin` entry currently on disk: `(path, bytes, mtime)`.
+    /// Every `.bin` entry currently on disk: `(tier, path, bytes, mtime)`.
     /// Unreadable entries are skipped (they are unreadable for `gc` too).
     /// `include_history` controls whether ledger records are listed —
     /// the gc path defaults to leaving them alone.
-    fn entries(&self, include_history: bool) -> Vec<(PathBuf, u64, SystemTime)> {
+    fn entries(&self, include_history: bool) -> Vec<(Tier, PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
         for tier in Tier::ALL {
             if tier == Tier::History && !include_history {
@@ -345,7 +338,7 @@ impl ExpStore {
                 }
                 let Ok(md) = e.metadata() else { continue };
                 let mtime = md.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                out.push((path, md.len(), mtime));
+                out.push((tier, path, md.len(), mtime));
             }
         }
         out
@@ -375,9 +368,10 @@ impl ExpStore {
         usage
     }
 
-    /// Removes every tier's orphaned `.tmp` files (see [`orphaned`]),
-    /// then evicts least-recently-used entries (by mtime, which hits
-    /// refresh) until total usage is at most `max_bytes`. Returns
+    /// Removes every tier's orphaned `.tmp` files (see [`orphaned`]) and
+    /// every `warm/` and `traces/` entry (no run reads them), then evicts
+    /// least-recently-used entries (by mtime, which hits refresh) until
+    /// total usage is at most `max_bytes`. Returns
     /// `(entries_evicted, bytes_evicted)`. The history ledger is records,
     /// not cache: its entries neither count toward the budget nor get
     /// evicted unless `include_history` is set (`store gc
@@ -394,12 +388,14 @@ impl ExpStore {
                 }
             }
         }
+        let unread = |tier: Tier| matches!(tier, Tier::Warm | Tier::Trace);
         let mut entries = self.entries(include_history);
-        let mut total: u64 = entries.iter().map(|(_, n, _)| n).sum();
-        entries.sort_by_key(|(_, _, mtime)| *mtime);
+        let mut total: u64 = entries.iter().map(|(_, _, n, _)| n).sum();
+        // Unread entries first, whatever their age.
+        entries.sort_by_key(|&(tier, _, _, mtime)| (!unread(tier), mtime));
         let (mut evicted, mut evicted_bytes) = (0u64, 0u64);
-        for (path, n, _) in entries {
-            if total <= max_bytes {
+        for (tier, path, n, _) in entries {
+            if total <= max_bytes && !unread(tier) {
                 break;
             }
             if std::fs::remove_file(&path).is_ok() {
@@ -563,29 +559,6 @@ pub fn result_key(
         sim.label(),
         warm.label(),
         u8::from(collect_obs),
-    )
-}
-
-/// Canonical warm-tier key for one `(projection, workload)` snapshot
-/// cell. Keyed by the [`warm_projection`](crate::engine::warm_projection)
-/// rendering — configs sharing a projection produce bit-identical warm
-/// state, so they share one persisted snapshot — and by the warmup
-/// length; the trace beyond the consumed prefix cannot influence the
-/// state, so the measured length stays out of the key. The
-/// [`WARM_SNAPSHOT_VERSION`] re-keys the tier alone when the snapshot
-/// layout changes.
-pub fn warm_snapshot_key(warmup: u64, workload: &str, projected: &rfp_core::CoreConfig) -> String {
-    format!(
-        "warm|schema={STORE_SCHEMA_VERSION}|snapshot={WARM_SNAPSHOT_VERSION}|warmup={warmup}\
-         |workload={workload}|cfg={projected:?}"
-    )
-}
-
-/// Canonical trace-tier key for one compiled arena.
-pub fn trace_key(total: u64, measured_from: u64, interval: u64, workload: &str) -> String {
-    format!(
-        "trace|schema={STORE_SCHEMA_VERSION}|total={total}|measured_from={measured_from}\
-         |interval={interval}|workload={workload}"
     )
 }
 
@@ -882,8 +855,8 @@ mod tests {
     fn gc_reaps_the_tmp_files_of_dead_writers_only() {
         let s = Scratch::new("gc-orphans");
         let store = &s.0;
-        store.put(Tier::Warm, "k", &1u64);
-        let entry = store.entry_path(Tier::Warm, "k");
+        store.put(Tier::Result, "k", &1u64);
+        let entry = store.entry_path(Tier::Result, "k");
         // Linux caps pid_max at 2^22, so no process has this pid.
         let dead = entry.with_extension(format!("tmp.{}.0", 1u32 << 23));
         let live = entry.with_extension(format!("tmp.{}.0", std::process::id()));
@@ -918,6 +891,29 @@ mod tests {
             .map(|e| e.file_name())
             .collect();
         assert_eq!(names, [blocker.file_name().expect("name")]);
+    }
+
+    #[test]
+    fn gc_empties_the_unread_tiers_whatever_the_budget() {
+        let s = Scratch::new("gc-unread");
+        let store = &s.0;
+        for tier in Tier::ALL {
+            store.put(tier, "k", &vec![0u64; 64]);
+        }
+        // The unread entries are the newest: age does not spare them.
+        let old = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1000);
+        for tier in [Tier::Result, Tier::History] {
+            let f = std::fs::File::open(store.entry_path(tier, "k")).expect("entry");
+            f.set_modified(old).expect("set mtime");
+        }
+        let before = store.disk_stats();
+        let unread = before[1].bytes + before[2].bytes;
+        assert_eq!(store.gc(u64::MAX, false), (2, unread));
+        let after = store.disk_stats();
+        let entries: Vec<u64> = after.iter().map(|u| u.entries).collect();
+        assert_eq!(entries, [1, 0, 0, 1], "results and history stay");
+        assert!(render_store_stats(store).contains("warm"));
+        assert!(render_store_stats(store).contains("traces"));
     }
 
     #[test]
@@ -1006,23 +1002,6 @@ mod tests {
             key(SimMode::Sample, WarmMode::Off),
             format!("{prefix}|sim=sample|warm=off|obs=0|workload=w|cfg={cfg:?}")
         );
-    }
-
-    #[test]
-    fn only_the_warm_key_carries_the_snapshot_version() {
-        // The snapshot layout changed alone: warm entries re-key, while
-        // result and trace entries already on disk keep hitting.
-        let cfg = rfp_core::CoreConfig::tiger_lake();
-        assert_eq!(
-            warm_snapshot_key(1000, "w", &cfg),
-            format!("warm|schema=2|snapshot=2|warmup=1000|workload=w|cfg={cfg:?}")
-        );
-        assert_eq!(
-            trace_key(3000, 1000, 8192, "w"),
-            "trace|schema=2|total=3000|measured_from=1000|interval=8192|workload=w"
-        );
-        let result = result_key(2000, 1000, SimMode::Full, WarmMode::Exact, false, "w", &cfg);
-        assert!(!result.contains("snapshot="), "{result}");
     }
 
     #[test]

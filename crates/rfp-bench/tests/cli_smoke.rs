@@ -1,8 +1,9 @@
 //! End-to-end checks of the `experiments` binary at the length the
 //! committed baselines were written at: side outputs must not change
 //! stdout, one invocation must plan every row into one grid (each trace
-//! compiled once, every warm snapshot freed), and the side documents must
-//! match `baselines/`.
+//! compiled once, every warm snapshot freed), the side documents must
+//! match `baselines/`, and a persistent store must be invisible in
+//! stdout.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -59,14 +60,29 @@ fn stdout_of(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-/// The flattened `warm_pool` line of a `--telemetry-out` file.
-fn warm_pool(telemetry: &str) -> BTreeMap<String, Json> {
+/// The flattened `{"<name>":{…}}` summary line (`warm_pool`, `store`)
+/// of a `--telemetry-out` file.
+fn summary(telemetry: &str, name: &str) -> BTreeMap<String, Json> {
     let text = std::fs::read_to_string(telemetry).expect("telemetry written");
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("{\"warm_pool\""))
-        .expect("a warm_pool line");
-    flatten(&parse_json(line).expect("warm_pool line parses"))
+    let head = format!("{{\"{name}\":{{");
+    let line = text.lines().find(|l| l.starts_with(&head)).expect(name);
+    flatten(&parse_json(line).expect("summary line parses"))
+}
+
+/// The `(warm, store)` tags of each job row of a `--telemetry-out` file.
+fn job_tags(telemetry: &str) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(telemetry).expect("telemetry written");
+    let tags = |line: &str| {
+        let row = flatten(&parse_json(line).expect("job row parses"));
+        match (&row["warm"], &row["store"]) {
+            (Json::Str(w), Json::Str(s)) => (w.clone(), s.clone()),
+            other => panic!("untagged job row: {other:?}"),
+        }
+    };
+    text.lines()
+        .filter(|l| l.contains("\"job\":"))
+        .map(tags)
+        .collect()
 }
 
 fn num(doc: &BTreeMap<String, Json>, path: &str) -> f64 {
@@ -103,7 +119,7 @@ fn all_with_side_outputs_matches_plain_all_and_the_baselines() {
         &telemetry,
     ]);
     assert!(plain == with_side, "side outputs changed stdout");
-    let pool = warm_pool(&telemetry);
+    let pool = summary(&telemetry, "warm_pool");
     assert_one_grid(&pool);
     // The side documents' instrumented RFP row forks the snapshots of
     // the sweep's plain RFP row.
@@ -127,7 +143,7 @@ fn timeliness_compiles_each_trace_once() {
     let telemetry = dir.file("telemetry.jsonl");
     let report = stdout_of(&["timeliness", "--telemetry-out", &telemetry]);
     assert!(report.contains("fully hidden"));
-    assert_one_grid(&warm_pool(&telemetry));
+    assert_one_grid(&summary(&telemetry, "warm_pool"));
 }
 
 #[test]
@@ -162,4 +178,55 @@ fn engine_trace_of_a_forking_run_holds_every_stage() {
     assert_eq!(num(&doc, &format!("{em}.schema")), 1.0);
     assert!(num(&doc, &format!("{em}.jobs")) > 0.0);
     assert!(num(&doc, &format!("{em}.warm_pool.snapshot_hits")) > 0.0);
+}
+
+#[test]
+fn store_runs_match_the_store_off_run_and_read_only_results() {
+    let dir = Scratch::new("store");
+    let store = dir.file("store");
+    let sweep = |phase: &str| {
+        let telemetry = dir.file(&format!("{phase}.jsonl"));
+        let out = stdout_of(&[
+            "fig2",
+            "tab1",
+            "--store",
+            &store,
+            "--telemetry-out",
+            &telemetry,
+        ]);
+        (out, job_tags(&telemetry), summary(&telemetry, "store"))
+    };
+    let off = stdout_of(&["fig2", "tab1"]);
+    let cold = sweep("cold");
+    let warm = sweep("warm");
+    for e in std::fs::read_dir(dir.0.join("store").join("results")).expect("results tier") {
+        std::fs::remove_file(e.expect("entry").path()).expect("entry removed");
+    }
+    let inval = sweep("invalidated");
+    let n = cold.1.len();
+    assert!(n > 0);
+    // Per phase: every job's store tag, the warm tag of a hit, and the
+    // store hits the summary counts.
+    for (phase, (out, jobs, sum), tag, hits) in [
+        ("cold", &cold, "miss", 0),
+        ("warm", &warm, "hit", n),
+        ("invalidated", &inval, "miss", 0),
+    ] {
+        assert!(&off == out, "the {phase} store run changed stdout");
+        assert_eq!(jobs.len(), n, "{phase}");
+        let served = |(w, s): &(String, String)| s == tag && (w == "store") == (tag == "hit");
+        assert!(jobs.iter().all(served), "{phase}: {jobs:?}");
+        assert_eq!(num(sum, "store.hits"), hits as f64, "{phase}: {sum:?}");
+        assert_eq!(num(sum, "store.corrupt"), 0.0, "{phase}: {sum:?}");
+    }
+    // With the results gone, nothing on disk serves the re-run.
+    assert_eq!(num(&inval.2, "store.bytes_read"), 0.0, "{:?}", inval.2);
+    let stats = stdout_of(&["store", "stats", "--store", &store]);
+    for tier in ["results", "warm", "traces", "history", "total"] {
+        assert!(stats.contains(tier), "{stats}");
+    }
+    let gc = stdout_of(&["store", "gc", "--max-bytes", "4096", "--store", &store]);
+    assert!(gc.starts_with("evicted "), "{gc}");
+    let clear = stdout_of(&["store", "clear", "--store", &store]);
+    assert!(clear.starts_with("removed "), "{clear}");
 }

@@ -504,10 +504,11 @@ fn engine_trace_json_parses_and_report_renders_deterministically() {
 
 mod persistent_store {
     //! The persistent experiment store must be invisible in the output:
-    //! a sweep with the store off, cold (publishing) or warm (serving
-    //! every job from disk) produces byte-identical canonical reports at
-    //! every thread count and probe setting — and a vandalised store
-    //! degrades to misses, never to wrong answers.
+    //! a sweep with the store off, cold (publishing), warm (serving
+    //! every job from disk) or invalidated (results cleared) produces
+    //! byte-identical canonical reports at every thread count and probe
+    //! setting — and a vandalised store degrades to misses, never to
+    //! wrong answers.
 
     use super::*;
     use rfp_bench::{ExpStore, Tier};
@@ -597,30 +598,28 @@ mod persistent_store {
                 assert_eq!(pool.stats().trace_builds, 0, "no arena rebuilds on hits");
                 check(&warm.reports, &format!("warm t{threads}"));
             }
-            // Drop the result tier only: jobs re-simulate, but forked
-            // from warm snapshots and compiled arenas *deserialized from
-            // disk* — the end-to-end proof that a persisted snapshot
-            // resumes bit-equal to the in-memory fork it was built from.
+            // Drop the result tier: every job misses and re-simulates
+            // from a freshly compiled trace, and nothing else is read
+            // from disk.
             let store = scratch.open();
             assert!(store.clear_tier(Tier::Result) > 0);
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(store.clone()));
-            let resnap = run_grid(&pool, &rows(&configs, collect_obs), 2);
+            let inval = run_grid(&pool, &rows(&configs, collect_obs), 2);
             assert!(
-                resnap
+                inval
                     .telemetry
                     .iter()
-                    .all(|t| t.store == "miss" && t.warm == "fork"),
-                "obs={collect_obs}: cleared results must re-simulate via forks"
+                    .all(|t| t.store == "miss" && t.warm == "straight"),
+                "obs={collect_obs}: cleared results must re-simulate"
             );
-            let s = store.stats();
-            assert!(s.hits > 0, "snapshot/arena tiers must serve the re-run");
-            assert_eq!(s.corrupt, 0);
             assert_eq!(
                 pool.stats().trace_builds,
-                0,
-                "compiled arenas must come from disk, not recompilation"
+                rfp_trace::suite().len() as u64,
+                "every trace is compiled"
             );
-            check(&resnap.reports, "persisted-snapshot");
+            let s = store.stats();
+            assert_eq!((s.hits, s.corrupt), (0, 0), "only results are read");
+            check(&inval.reports, "invalidated");
         }
     }
 
@@ -840,8 +839,10 @@ mod persistent_store {
             let text = run(scratch.open(), threads);
             assert!(text.contains("store-get result|"));
             assert!(text.contains("store-put result|"));
-            assert!(text.contains("store-get warm|"));
-            assert!(text.contains("store-get trace|"));
+            for tier in ["warm", "trace"] {
+                let get = format!("store-get {tier}|");
+                assert!(!text.contains(&get), "the {tier} tier is not read");
+            }
             match &cold_ref {
                 None => cold_ref = Some(text),
                 Some(r) => assert_eq!(&text, r, "cold threads={threads} diverged"),

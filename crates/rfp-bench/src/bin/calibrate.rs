@@ -38,7 +38,7 @@ use rfp_stats::{geomean_speedup, mean_frac};
 
 fn main() {
     let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
-    let store = env.open_stores().unwrap_or_else(|e| die(e)).store;
+    let store = env.open_store().unwrap_or_else(|e| die(e));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = take_count(&mut args, "--threads").unwrap_or(env.threads);
     let trace_out = take_flag(&mut args, "--trace-out");

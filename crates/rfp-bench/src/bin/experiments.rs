@@ -23,7 +23,7 @@
 //!
 //! Observability outputs (all side files; stdout stays byte-identical).
 //! The instrumented RFP row behind `--metrics-out`, `--profile-out`,
-//! `--collapsed-out`, `--sampling-report` and `--run-label` runs in the
+//! `--collapsed-out` and `--sampling-report` runs in the
 //! same grid as the experiments' own rows, so it forks their warm
 //! snapshots and each trace is compiled once per invocation:
 //!
@@ -75,24 +75,21 @@
 //! `Kanata 0004` log loadable in the Konata O3 viewer.
 //!
 //! Every `RFP_*` variable is parsed once, before anything else runs
-//! ([`RunEnv`]): a malformed value, or a store or ledger directory that
-//! cannot be opened, exits 2 naming the variable.
+//! ([`RunEnv`]): a malformed value, or a store directory that cannot be
+//! opened, exits 2 naming the variable.
 //!
 //! Run `experiments --help` for the generated subcommand/flag/env tables.
 
 use std::sync::Arc;
 
 use rfp_bench::{
-    die, diff_metrics_with, history_export_json, inspect_workload, parse_trend_tolerances,
-    read_or_die, render_history_list, render_history_show, render_report, render_store_stats,
+    die, diff_metrics_with, inspect_workload, read_or_die, render_report, render_store_stats,
     sampling_error_report_json, take_bare, take_count, take_flag, telemetry_jsonl,
-    trace_workload_json, trend_rows, write_engine_trace, write_or_die, EnvStores, ExpStore,
-    Harness, HistoryLedger, NonEmptyPath, ReportInputs, RunEnv, RunRecord, WarmPool,
-    DEFAULT_TRACE_LEN, KNOBS,
+    trace_workload_json, write_engine_trace, write_or_die, ExpStore, Harness, NonEmptyPath,
+    ReportInputs, RunEnv, WarmPool, DEFAULT_TRACE_LEN, KNOBS,
 };
 use rfp_core::CoreConfig;
 use rfp_obs::EngineTracer;
-use rfp_stats::{render_trend_table, TrendParams};
 
 /// Extra experiment ids accepted by `run` but excluded from `all` (their
 /// stdout carries probe-derived numbers, which `all` keeps out so its
@@ -119,20 +116,12 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
         "condense two --sampling-report docs into p50/p95/max error bounds",
     ),
     (
-        "store stats | gc --max-bytes N [--include-history] | clear",
+        "store stats | gc --max-bytes N | clear",
         "inspect / LRU-evict / empty the persistent experiment store",
     ),
     (
         "report --report-out FILE [--metrics F] [--profile F] ...",
         "fold the pipeline's JSON docs into one static HTML dashboard",
-    ),
-    (
-        "history add --run-label L --sampling-report F ... | list | show | export",
-        "append to / inspect the run-history ledger (history/ store tier)",
-    ),
-    (
-        "trend [--tolerances FILE] [--window N]",
-        "gate the ledger's recent runs against history (exit 1 on regression)",
     ),
 ];
 
@@ -171,22 +160,6 @@ const SIDE_FLAGS: &[(&str, &str)] = &[
     (
         "--no-store",
         "disable the persistent store even when RFP_STORE is set",
-    ),
-    (
-        "--history DIR",
-        "run-history ledger root (overrides RFP_HISTORY / the store root)",
-    ),
-    (
-        "--no-history",
-        "disable ledger recording even when RFP_HISTORY/RFP_STORE is set",
-    ),
-    (
-        "--run-label L",
-        "record this sweep in the ledger under label L (needs a ledger root)",
-    ),
-    (
-        "--timestamp T",
-        "caller-supplied timestamp for --run-label (never generated; default -)",
     ),
     (
         "--sampling-report FILE",
@@ -237,16 +210,11 @@ fn usage() -> String {
     out
 }
 
-/// Opens the store rooted at `dir`, or exits 2 naming `origin`.
-fn open_store(dir: &std::path::Path, origin: &str) -> Arc<ExpStore> {
-    ExpStore::open_named(dir, origin).unwrap_or_else(|e| die(e))
-}
-
 /// Resolves the persistent store from flags and environment: `--no-store`
-/// wins, then `--store DIR`, then `RFP_STORE`. An unwritable `--store`
-/// exits 2 with a contextual message.
+/// wins, then `--store DIR`, then `RFP_STORE` (`env_store`). An
+/// unwritable `--store` exits 2 with a contextual message.
 fn resolve_store(
-    env: &EnvStores,
+    env_store: &Option<Arc<ExpStore>>,
     store_flag: Option<&str>,
     no_store: bool,
 ) -> Option<Arc<ExpStore>> {
@@ -254,48 +222,18 @@ fn resolve_store(
         return None;
     }
     match store_flag {
-        Some(dir) => Some(open_store(dir.as_ref(), "--store")),
-        None => env.store.clone(),
+        Some(dir) => Some(ExpStore::open_named(dir.as_ref(), "--store").unwrap_or_else(|e| die(e))),
+        None => env_store.clone(),
     }
-}
-
-/// Resolves the run-history ledger root: `--no-history` wins, then
-/// `--history DIR`, then `RFP_HISTORY`, then the persistent store
-/// (`--store`/`RFP_STORE`) — the ledger is the `history/` tier of the
-/// same on-disk layout, so a store root doubles as a ledger root.
-fn resolve_history(
-    env: &EnvStores,
-    history_flag: Option<&str>,
-    no_history: bool,
-    store_flag: Option<&str>,
-    no_store: bool,
-) -> Option<Arc<ExpStore>> {
-    if no_history {
-        return None;
-    }
-    if let Some(dir) = history_flag {
-        return Some(open_store(dir.as_ref(), "--history"));
-    }
-    env.history
-        .clone()
-        .or_else(|| resolve_store(env, store_flag, no_store))
-}
-
-/// Exits 2 with the shared "no ledger" message.
-fn no_ledger_configured() -> ! {
-    die(
-        "no run-history ledger configured (set RFP_HISTORY or pass --history DIR; \
-         a persistent store root also works — the ledger is its history/ tier)",
-    )
 }
 
 fn main() {
     // Parse every env knob up front so a malformed value fails the
-    // pipeline at its first command instead of mid-sweep. The store and
-    // ledger directories are opened (and created) here too: an unwritable
-    // store path must fail the sweep's first command, not its last.
+    // pipeline at its first command instead of mid-sweep. The store
+    // directory is opened (and created) here too: an unwritable store
+    // path must fail the sweep's first command, not its last.
     let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
-    let env_stores = env.open_stores().unwrap_or_else(|e| die(e));
+    let env_store = env.open_store().unwrap_or_else(|e| die(e));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // The report generator is pure file folding — dispatch before any
     // simulation setup.
@@ -304,7 +242,7 @@ fn main() {
             eprintln!(
                 "usage: experiments report --report-out FILE [--metrics F] [--profile F] \
                  [--sampling-report F] [--sampling-error F] [--engine-trace F] \
-                 [--telemetry F] [--history F]"
+                 [--telemetry F]"
             );
             std::process::exit(2);
         });
@@ -318,7 +256,6 @@ fn main() {
             sampling_error: take_flag(&mut args, "--sampling-error").map(|p| read_or_die(&p)),
             engine_trace: take_flag(&mut args, "--engine-trace").map(|p| read_or_die(&p)),
             telemetry: take_flag(&mut args, "--telemetry").map(|p| read_or_die(&p)),
-            history: take_flag(&mut args, "--history").map(|p| read_or_die(&p)),
         };
         if args.len() != 1 {
             die(format!("unexpected report argument(s): {:?}", &args[1..]));
@@ -337,7 +274,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("store") {
         let store_flag = take_flag(&mut args, "--store");
         let no_store = take_bare(&mut args, "--no-store");
-        let Some(store) = resolve_store(&env_stores, store_flag.as_deref(), no_store) else {
+        let Some(store) = resolve_store(&env_store, store_flag.as_deref(), no_store) else {
             die("no store configured (set RFP_STORE or pass --store DIR)")
         };
         match args.get(1).map(String::as_str) {
@@ -346,19 +283,18 @@ fn main() {
                 std::process::exit(0);
             }
             Some("gc") => {
-                let include_history = take_bare(&mut args, "--include-history");
                 let max = take_flag(&mut args, "--max-bytes").unwrap_or_else(|| {
-                    eprintln!("usage: experiments store gc --max-bytes N [--include-history]");
+                    eprintln!("usage: experiments store gc --max-bytes N");
                     std::process::exit(2);
                 });
                 let max: u64 = max.parse().unwrap_or_else(|e| {
                     die(format!("--max-bytes {max:?} is not a valid value: {e}"))
                 });
                 if args.len() != 2 {
-                    eprintln!("usage: experiments store gc --max-bytes N [--include-history]");
+                    eprintln!("usage: experiments store gc --max-bytes N");
                     std::process::exit(2);
                 }
-                let (entries, bytes) = store.gc(max, include_history);
+                let (entries, bytes) = store.gc(max);
                 println!("evicted {entries} entries ({bytes} bytes)");
                 print!("{}", render_store_stats(&store));
                 std::process::exit(0);
@@ -369,115 +305,10 @@ fn main() {
                 std::process::exit(0);
             }
             _ => {
-                eprintln!(
-                    "usage: experiments store stats | gc --max-bytes N [--include-history] | clear"
-                );
+                eprintln!("usage: experiments store stats | gc --max-bytes N | clear");
                 std::process::exit(2);
             }
         }
-    }
-    // The ledger subcommands are pure file work over the history tier —
-    // dispatch before any simulation setup.
-    if args.first().map(String::as_str) == Some("history") {
-        let history_flag = take_flag(&mut args, "--history");
-        let no_history = take_bare(&mut args, "--no-history");
-        let store_flag = take_flag(&mut args, "--store");
-        let no_store = take_bare(&mut args, "--no-store");
-        let Some(store) = resolve_history(
-            &env_stores,
-            history_flag.as_deref(),
-            no_history,
-            store_flag.as_deref(),
-            no_store,
-        ) else {
-            no_ledger_configured();
-        };
-        let ledger = HistoryLedger::new(store);
-        match args.get(1).map(String::as_str) {
-            Some("add") => {
-                let usage = || -> ! {
-                    eprintln!(
-                        "usage: experiments history add --run-label L --sampling-report F \
-                         [--timestamp T] [--sampling-error F]"
-                    );
-                    std::process::exit(2);
-                };
-                let Some(label) = take_flag(&mut args, "--run-label") else {
-                    usage();
-                };
-                let timestamp = take_flag(&mut args, "--timestamp").unwrap_or_else(|| "-".into());
-                let Some(report) =
-                    take_flag(&mut args, "--sampling-report").map(|p| read_or_die(&p))
-                else {
-                    usage();
-                };
-                let error = take_flag(&mut args, "--sampling-error").map(|p| read_or_die(&p));
-                if args.len() != 2 {
-                    usage();
-                }
-                let outcome =
-                    RunRecord::from_documents(&label, &timestamp, &report, error.as_deref())
-                        .and_then(|r| ledger.add(r));
-                match outcome {
-                    Err(e) => die(e),
-                    Ok(seq) => {
-                        println!("recorded run {label:?} as ledger seq {seq}");
-                        std::process::exit(0);
-                    }
-                }
-            }
-            Some("list") if args.len() == 2 => {
-                print!("{}", render_history_list(&ledger.load()));
-                std::process::exit(0);
-            }
-            Some("show") if args.len() == 2 => {
-                print!("{}", render_history_show(&ledger.load()));
-                std::process::exit(0);
-            }
-            Some("export") if args.len() == 2 => {
-                print!("{}", history_export_json(&ledger.load()));
-                std::process::exit(0);
-            }
-            _ => {
-                eprintln!(
-                    "usage: experiments history add --run-label L --sampling-report F ... \
-                     | list | show | export"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.first().map(String::as_str) == Some("trend") {
-        let history_flag = take_flag(&mut args, "--history");
-        let no_history = take_bare(&mut args, "--no-history");
-        let store_flag = take_flag(&mut args, "--store");
-        let no_store = take_bare(&mut args, "--no-store");
-        let tolerances = match take_flag(&mut args, "--tolerances").map(|p| read_or_die(&p)) {
-            None => Vec::new(),
-            Some(text) => parse_trend_tolerances(&text).unwrap_or_else(|e| die(e)),
-        };
-        let mut params = TrendParams::default();
-        if let Some(n) = take_count(&mut args, "--window") {
-            params.window = n;
-        }
-        if args.len() != 1 {
-            eprintln!("usage: experiments trend [--tolerances FILE] [--window N]");
-            std::process::exit(2);
-        }
-        let Some(store) = resolve_history(
-            &env_stores,
-            history_flag.as_deref(),
-            no_history,
-            store_flag.as_deref(),
-            no_store,
-        ) else {
-            no_ledger_configured();
-        };
-        let view = HistoryLedger::new(store).load();
-        let rows = trend_rows(&view, &tolerances, &params);
-        print!("{}", render_trend_table(&rows));
-        let regressed = rows.iter().any(|(_, v)| v.regressed);
-        std::process::exit(if regressed { 1 } else { 0 });
     }
     // The sentinel subcommands are pure file comparison — dispatch
     // before any simulation setup.
@@ -544,31 +375,6 @@ fn main() {
     let threads = take_count(&mut args, "--threads").unwrap_or(env.threads);
     let store_flag = take_flag(&mut args, "--store");
     let no_store = take_bare(&mut args, "--no-store");
-    // `--run-label L` records the sweep's sampling summary into the
-    // run-history ledger after the experiments finish. The ledger is
-    // resolved up front so a misconfigured history dir fails before any
-    // simulation work, and the confirmation goes to stderr so stdout
-    // stays byte-identical with the ledger armed or disarmed.
-    let run_label = take_flag(&mut args, "--run-label");
-    let run_timestamp = take_flag(&mut args, "--timestamp");
-    let history_flag = take_flag(&mut args, "--history");
-    let no_history = take_bare(&mut args, "--no-history");
-    if run_timestamp.is_some() && run_label.is_none() {
-        die("--timestamp only makes sense with --run-label");
-    }
-    let ledger = match &run_label {
-        None => None,
-        Some(_) => match resolve_history(
-            &env_stores,
-            history_flag.as_deref(),
-            no_history,
-            store_flag.as_deref(),
-            no_store,
-        ) {
-            Some(store) => Some(HistoryLedger::new(store)),
-            None => no_ledger_configured(),
-        },
-    };
     let trace_out = take_flag(&mut args, "--trace-out");
     let trace_workload =
         take_flag(&mut args, "--trace-workload").unwrap_or_else(|| "spec17_mcf".to_string());
@@ -596,8 +402,7 @@ fn main() {
         || collapsed_out.is_some()
         || telemetry_out.is_some()
         || sampling_out.is_some()
-        || engine_trace_out.is_some()
-        || ledger.is_some();
+        || engine_trace_out.is_some();
     if (args.is_empty() && !side_outputs) || args.iter().any(|a| a == "--help" || a == "-h") {
         eprint!("{}", usage());
         std::process::exit(if args.is_empty() && !side_outputs {
@@ -628,7 +433,7 @@ fn main() {
         .as_ref()
         .map(|_| Arc::new(EngineTracer::new()));
     let pool = WarmPool::with_sim(env.warm, env.sim, len)
-        .with_store(resolve_store(&env_stores, store_flag.as_deref(), no_store))
+        .with_store(resolve_store(&env_store, store_flag.as_deref(), no_store))
         .with_tracer(tracer.clone());
     let mut h = Harness::with_pool(len, threads, pool);
     let t0 = std::time::Instant::now();
@@ -640,8 +445,7 @@ fn main() {
     let side_docs = metrics_out.is_some()
         || profile_out.is_some()
         || collapsed_out.is_some()
-        || sampling_out.is_some()
-        || ledger.is_some();
+        || sampling_out.is_some();
     let side_obs: &[CoreConfig] = if side_docs {
         std::slice::from_ref(&rfp_cfg)
     } else {
@@ -671,15 +475,6 @@ fn main() {
     if let Some(file) = &sampling_out {
         write_or_die(file, &h.sampling_json(&rfp_cfg));
         eprintln!("wrote per-workload sampling summary to {file}");
-    }
-    if let (Some(label), Some(ledger)) = (&run_label, &ledger) {
-        let timestamp = run_timestamp.as_deref().unwrap_or("-");
-        let outcome = RunRecord::from_documents(label, timestamp, &h.sampling_json(&rfp_cfg), None)
-            .and_then(|r| ledger.add(r));
-        match outcome {
-            Err(e) => die(e),
-            Ok(seq) => eprintln!("recorded run {label:?} as ledger seq {seq}"),
-        }
     }
     if let Some(dir) = &trace_out {
         let w = rfp_trace::by_name(&trace_workload)

@@ -15,7 +15,7 @@
 //! unchanged.
 //!
 //! Env: `RFP_TRACE_LEN=<uops>`. Every other `RFP_*` knob is parsed too
-//! ([`RunEnv`]) and the store and ledger directories are opened, though
+//! ([`RunEnv`]) and the store directory is opened, though
 //! this bin runs no grid: a malformed value exits 2 so scripts that
 //! export one for a whole pipeline can't half work.
 
@@ -110,7 +110,7 @@ fn observe(
 
 fn main() {
     let env = RunEnv::from_process().unwrap_or_else(|e| die(e));
-    env.open_stores().unwrap_or_else(|e| die(e));
+    env.open_store().unwrap_or_else(|e| die(e));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");

@@ -21,7 +21,6 @@
 mod diff;
 mod engine;
 mod engine_trace;
-mod history;
 mod inspect;
 mod report;
 mod run_env;
@@ -49,16 +48,11 @@ pub use engine::{
     TELEMETRY_SCHEMA_VERSION,
 };
 pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
-pub use history::{
-    history_export_json, parse_trend_tolerances, render_history_list, render_history_show,
-    trend_rows, HistoryLedger, LedgerView, RunRecord, SamplingErrorSummary, WorkloadRow,
-    HISTORY_SCHEMA_VERSION, TREND_METRICS,
-};
 pub use inspect::{inspect_workload, InspectOutcome, INSPECT_LEAD_UOPS};
 pub use report::{render_report, ReportInputs};
 pub use run_env::{
-    die, read_or_die, take_bare, take_count, take_flag, write_or_die, EnvError, EnvStores, Knob,
-    NonEmptyPath, RunEnv, KNOBS,
+    die, read_or_die, take_bare, take_count, take_flag, write_or_die, EnvError, Knob, NonEmptyPath,
+    RunEnv, KNOBS,
 };
 pub use store::{
     render_store_stats, result_key, ExpStore, StoreStats, Tier, TierUsage, STORE_SCHEMA_VERSION,

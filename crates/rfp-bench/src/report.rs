@@ -1,6 +1,6 @@
 //! `experiments report`: folds the pipeline's JSON documents —
-//! metrics, profile, sampling report/error, engine trace, telemetry,
-//! run history — into one self-contained static HTML dashboard.
+//! metrics, profile, sampling report/error, engine trace and telemetry
+//! — into one self-contained static HTML dashboard.
 //!
 //! The page is hand-rolled HTML with inline SVG charts: no scripts, no
 //! external assets, opens offline. Output is byte-deterministic given
@@ -9,10 +9,7 @@
 //! can diff two renders of the same sweep and the determinism tests can
 //! compare bytes across runs.
 
-use rfp_stats::{detect_trend, TrendParams};
-
 use crate::diff::{parse_json, Json};
-use crate::history::TREND_METRICS;
 
 /// Raw input documents for the dashboard, each optional: a section
 /// whose document is absent renders a placeholder instead of data, so
@@ -31,9 +28,6 @@ pub struct ReportInputs {
     pub engine_trace: Option<String>,
     /// `--telemetry-out` JSONL stream.
     pub telemetry: Option<String>,
-    /// `experiments history export` document (the run-history ledger's
-    /// deterministic stratum) — feeds the trend panels.
-    pub history: Option<String>,
 }
 
 /// RFP drop reasons in `rfp_drops_over_time` column order.
@@ -493,137 +487,6 @@ fn engine_section(trace: Option<&Json>, telemetry: Option<&str>) -> String {
     out
 }
 
-/// Inline sparkline over one metric series, min-max normalized. Fixed
-/// geometry and `{:.2}` coordinates keep the bytes deterministic.
-fn sparkline(values: &[f64]) -> String {
-    if values.len() < 2 {
-        return "<span class=\"placeholder\">(1 run)</span>".to_string();
-    }
-    let (w, h) = (120.0, 22.0);
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let span = (max - min).max(1e-12);
-    let dx = w / (values.len() - 1) as f64;
-    let mut points = String::new();
-    for (i, v) in values.iter().enumerate() {
-        points.push_str(&format!(
-            "{:.2},{:.2} ",
-            dx * i as f64,
-            2.0 + (h - 4.0) * (1.0 - (v - min) / span)
-        ));
-    }
-    format!(
-        "<svg class=\"spark\" viewBox=\"0 0 {w:.0} {h:.0}\" width=\"{w:.0}\" height=\"{h:.0}\" \
-         role=\"img\"><polyline points=\"{}\" fill=\"none\" stroke=\"{}\" \
-         stroke-width=\"1.5\"/></svg>",
-        points.trim_end(),
-        PALETTE[0],
-    )
-}
-
-/// Trend section: per-`(workload, metric)` sparklines over the ledger
-/// plus a regression-callout table, both through
-/// [`detect_trend`] with default parameters (the CLI gate
-/// `experiments trend` applies the committed tolerance file; the panel
-/// is the visual companion). Empty ledger → labelled placeholder.
-fn trend_section(doc: Option<&Json>) -> String {
-    let Some(doc) = doc else {
-        return placeholder("history");
-    };
-    let runs = get(doc, "runs").and_then(arr).unwrap_or(&[]);
-    if runs.is_empty() {
-        return "<p class=\"placeholder\">history ledger is empty — record sweeps with \
-                `experiments history add` to populate the trend panels</p>"
-            .to_string();
-    }
-    let labels: Vec<&str> = runs
-        .iter()
-        .map(|r| get(r, "label").and_then(str_of).unwrap_or("?"))
-        .collect();
-    let mut names: Vec<&str> = runs
-        .iter()
-        .flat_map(|r| get(r, "workloads").and_then(arr).unwrap_or(&[]).iter())
-        .filter_map(|w| get(w, "workload").and_then(str_of))
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    let series_for = |name: &str, metric: &str| -> Vec<f64> {
-        runs.iter()
-            .filter_map(|r| {
-                get(r, "workloads")
-                    .and_then(arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .find(|w| get(w, "workload").and_then(str_of) == Some(name))
-            })
-            .filter_map(|w| get(w, metric).and_then(num))
-            .collect()
-    };
-    let params = TrendParams::default();
-    let mut callouts: Vec<Vec<String>> = Vec::new();
-    let mut spark_html = String::from(
-        "<table><thead><tr><th>metric</th><th>trend</th><th>latest</th>\
-         <th>rel Δ</th><th>verdict</th></tr></thead><tbody>",
-    );
-    for name in &names {
-        for (metric, dir) in TREND_METRICS {
-            let series = series_for(name, metric);
-            if series.is_empty() {
-                continue;
-            }
-            let v = detect_trend(&series, dir, &params);
-            let path = format!("{name}.{metric}");
-            if v.regressed {
-                callouts.push(vec![
-                    path.clone(),
-                    v.n.to_string(),
-                    fmt_num(v.reference_mean),
-                    fmt_num(v.recent_mean),
-                    format!("{:+.4}", v.rel_delta),
-                    v.reason.clone(),
-                ]);
-            }
-            spark_html.push_str(&format!(
-                "<tr{}><td>{}</td><td>{}</td><td>{}</td><td>{:+.4}</td><td>{}</td></tr>",
-                if v.regressed {
-                    " class=\"regressed\""
-                } else {
-                    ""
-                },
-                esc(&path),
-                sparkline(&series),
-                esc(&fmt_num(*series.last().expect("non-empty"))),
-                v.rel_delta,
-                if v.regressed { "REGRESSED" } else { "ok" },
-            ));
-        }
-    }
-    spark_html.push_str("</tbody></table>");
-    let callout_html = if callouts.is_empty() {
-        format!(
-            "<p>no regressions across {} run(s) at the default tolerance \
-             ({:.0}%).</p>",
-            runs.len(),
-            params.rel_tolerance * 100.0
-        )
-    } else {
-        format!(
-            "<h3>Regressions</h3>{}",
-            table(
-                &["metric", "n", "reference", "recent", "rel Δ", "reason"],
-                &callouts,
-            )
-        )
-    };
-    format!(
-        "<p>{} run(s) in the ledger: {}.</p>{}<h3>Per-metric series</h3>{}",
-        runs.len(),
-        esc(&labels.join(" → ")),
-        callout_html,
-        spark_html,
-    )
-}
-
 const STYLE: &str = "body{font:14px/1.45 system-ui,sans-serif;margin:0;color:#222}\
  header{background:#1b2a4a;color:#fff;padding:14px 24px}\
  header h1{margin:0;font-size:20px}\
@@ -637,14 +500,12 @@ const STYLE: &str = "body{font:14px/1.45 system-ui,sans-serif;margin:0;color:#22
  th:first-child,td:first-child{text-align:left}\
  .placeholder{color:#888;font-style:italic}\
  .chart{display:block;margin:6px 0}\
- .spark{vertical-align:middle}\
- tr.regressed td{background:#fbe9e9}\
  .chart .lbl{font-size:11px}.chart .val{font-size:11px;fill:#555}\
  .legend span{margin-right:12px;font-size:12px}\
  .swatch{display:inline-block;width:10px;height:10px;margin-right:4px}";
 
 /// Sections in page order: `(anchor, title)`.
-const SECTIONS: [(&str, &str); 8] = [
+const SECTIONS: [(&str, &str); 7] = [
     ("overview", "Overview"),
     ("workloads", "Workloads"),
     ("cpi", "CPI stacks"),
@@ -652,7 +513,6 @@ const SECTIONS: [(&str, &str); 8] = [
     ("profile", "Top offender sites"),
     ("sampling", "Sampling accuracy"),
     ("engine", "Engine observability"),
-    ("trend", "Run history & trends"),
 ];
 
 /// Renders the full dashboard. Fails only on a present-but-unparseable
@@ -671,7 +531,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
     let sampling_report = parse_opt("sampling-report", &inputs.sampling_report)?;
     let sampling_error = parse_opt("sampling-error", &inputs.sampling_error)?;
     let engine_trace = parse_opt("engine-trace", &inputs.engine_trace)?;
-    let history = parse_opt("history", &inputs.history)?;
 
     let inventory: Vec<Vec<String>> = [
         ("metrics", inputs.metrics.is_some()),
@@ -680,7 +539,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
         ("sampling-error", inputs.sampling_error.is_some()),
         ("engine-trace", inputs.engine_trace.is_some()),
         ("telemetry", inputs.telemetry.is_some()),
-        ("history", inputs.history.is_some()),
     ]
     .iter()
     .map(|(n, present)| {
@@ -705,7 +563,6 @@ pub fn render_report(inputs: &ReportInputs) -> Result<String, String> {
         profile_section(profile.as_ref()),
         sampling_section(sampling_error.as_ref()),
         engine_section(engine_trace.as_ref(), inputs.telemetry.as_deref()),
-        trend_section(history.as_ref()),
     ];
 
     let mut nav = String::from("<nav>");
@@ -763,7 +620,7 @@ mod tests {
             ),
             engine_trace: Some(
                 r#"{"traceEvents":[],"displayTimeUnit":"ms","otherData":{
-                    "engineMetrics":{"schema":1,"jobs":4,"jobs_by_warm":{"fork":3,"straight":1},
+                    "engineMetrics":{"schema":2,"jobs":4,"jobs_by_warm":{"fork":3,"straight":1},
                     "warm_pool":{"snapshot_hits":3,"snapshot_misses":1,
                                  "snapshot_hit_rate":0.75,"transplants":0,"trace_builds":1},
                     "store":{"result":{"hits":1,"misses":3,"hit_rate":0.25,
@@ -773,16 +630,6 @@ mod tests {
             ),
             telemetry: Some(
                 "{\"schema\":1,\"job\":0}\n{\"schema\":1,\"job\":1}\n{\"warm_pool\":{}}\n"
-                    .to_string(),
-            ),
-            history: Some(
-                r#"{"schema":1,"corrupt_skipped":0,"runs":[
-                    {"seq":1,"label":"pr9","timestamp":"t1","trace_len":100,"workloads":[
-                        {"workload":"a","ipc":2.0,"coverage":0.5,"cycles":100,"cpi":{}}],
-                     "sampling_error":null},
-                    {"seq":2,"label":"pr10","timestamp":"t2","trace_len":100,"workloads":[
-                        {"workload":"a","ipc":1.0,"coverage":0.5,"cycles":200,"cpi":{}}],
-                     "sampling_error":null}]}"#
                     .to_string(),
             ),
         }
@@ -816,34 +663,6 @@ mod tests {
         assert!(html.contains("0x20"));
         assert!(html.contains("fork"));
         assert!(html.contains("2 telemetry rows."));
-    }
-
-    #[test]
-    fn trend_panel_flags_the_injected_regression() {
-        let html = render_report(&sample_inputs()).unwrap();
-        // The sample ledger halves workload a's IPC and doubles its
-        // cycles between pr9 and pr10: both must land in the callouts.
-        assert!(html.contains("pr9 → pr10"), "run labels rendered");
-        assert!(html.contains("a.ipc"));
-        assert!(html.contains("a.cycles"));
-        assert!(html.contains("REGRESSED"));
-        assert!(html.contains("class=\"spark\""), "sparklines rendered");
-        // Coverage is flat: not every metric regresses.
-        assert!(html.contains(">ok<"));
-    }
-
-    #[test]
-    fn empty_history_renders_a_labelled_placeholder() {
-        let inputs = ReportInputs {
-            history: Some(r#"{"schema":1,"corrupt_skipped":0,"runs":[]}"#.to_string()),
-            ..Default::default()
-        };
-        let html = render_report(&inputs).unwrap();
-        assert!(html.contains("history ledger is empty"), "{html}");
-        assert!(!html.contains("REGRESSED"));
-        // Absent entirely: the generic placeholder instead.
-        let html = render_report(&ReportInputs::default()).unwrap();
-        assert!(html.contains("no history document provided"));
     }
 
     #[test]

@@ -82,8 +82,6 @@ pub struct RunEnv {
     pub inspect_windows: usize,
     /// `RFP_STORE`: persistent experiment store root.
     pub store: Option<PathBuf>,
-    /// `RFP_HISTORY`: run-history ledger root.
-    pub history: Option<PathBuf>,
     /// `RFP_ENGINE_TRACE`: engine self-trace output path.
     pub engine_trace: Option<PathBuf>,
 }
@@ -97,19 +95,9 @@ impl Default for RunEnv {
             sim: SimMode::default(),
             inspect_windows: 4,
             store: None,
-            history: None,
             engine_trace: None,
         }
     }
-}
-
-/// The stores a [`RunEnv`] names, opened ([`RunEnv::open_stores`]).
-#[derive(Debug, Default)]
-pub struct EnvStores {
-    /// The `RFP_STORE` root.
-    pub store: Option<Arc<ExpStore>>,
-    /// The `RFP_HISTORY` ledger root.
-    pub history: Option<Arc<ExpStore>>,
 }
 
 /// One environment knob: its variable, its `--help` description, and
@@ -123,7 +111,7 @@ pub struct Knob {
 }
 
 /// Every knob, in `--help` order.
-pub const KNOBS: [Knob; 8] = [
+pub const KNOBS: [Knob; 7] = [
     Knob {
         var: "RFP_TRACE_LEN",
         help: "measured uops per workload (default 120000)",
@@ -153,11 +141,6 @@ pub const KNOBS: [Knob; 8] = [
         var: "RFP_STORE",
         help: "persistent experiment store directory (off when unset)",
         set: |env, v| v.parse().map(|NonEmptyPath(p)| env.store = Some(p)),
-    },
-    Knob {
-        var: "RFP_HISTORY",
-        help: "run-history ledger directory (falls back to RFP_STORE)",
-        set: |env, v| v.parse().map(|NonEmptyPath(p)| env.history = Some(p)),
     },
     Knob {
         var: "RFP_ENGINE_TRACE",
@@ -210,23 +193,18 @@ impl RunEnv {
         Self::parse(|var| std::env::var(var).ok())
     }
 
-    /// Opens (creating if needed) the store and ledger directories this
-    /// environment names. The bins call it right after parsing, so an
-    /// unusable directory fails a pipeline's first command, not its last.
+    /// Opens (creating if needed) the `RFP_STORE` directory, if set.
+    /// The bins call it right after parsing, so an unusable directory
+    /// fails a pipeline's first command, not its last.
     ///
     /// # Errors
     ///
-    /// A message naming the variable whose directory cannot be opened.
-    pub fn open_stores(&self) -> Result<EnvStores, String> {
-        let open = |root: &Option<PathBuf>, var| {
-            root.as_deref()
-                .map(|p| ExpStore::open_named(p, var))
-                .transpose()
-        };
-        Ok(EnvStores {
-            store: open(&self.store, "RFP_STORE")?,
-            history: open(&self.history, "RFP_HISTORY")?,
-        })
+    /// A message naming `RFP_STORE` when its directory cannot be opened.
+    pub fn open_store(&self) -> Result<Option<Arc<ExpStore>>, String> {
+        self.store
+            .as_deref()
+            .map(|p| ExpStore::open_named(p, "RFP_STORE"))
+            .transpose()
     }
 
     /// A trace length given as a command-line argument (`calibrate
@@ -339,10 +317,7 @@ mod tests {
         assert_eq!(env.warm, WarmMode::Exact);
         assert_eq!(env.sim, SimMode::Full);
         assert_eq!(env.inspect_windows, 4);
-        assert_eq!(
-            (env.store, env.history, env.engine_trace),
-            (None, None, None)
-        );
+        assert_eq!((env.store, env.engine_trace), (None, None));
     }
 
     #[test]
@@ -408,14 +383,6 @@ mod tests {
                 },
             ),
             (
-                "RFP_HISTORY",
-                "/tmp/h",
-                RunEnv {
-                    history: path("/tmp/h"),
-                    ..d()
-                },
-            ),
-            (
                 "RFP_ENGINE_TRACE",
                 "t.json",
                 RunEnv {
@@ -444,7 +411,6 @@ mod tests {
             ("RFP_INSPECT_WINDOWS", "-1"),
             ("RFP_INSPECT_WINDOWS", "0"),
             ("RFP_STORE", ""),
-            ("RFP_HISTORY", "  "),
             ("RFP_ENGINE_TRACE", ""),
         ];
         for (var, value) in cases {
@@ -472,28 +438,15 @@ mod tests {
     fn unopenable_store_directories_name_their_variable() {
         let file = std::env::temp_dir().join(format!("rfp-run-env-{}", std::process::id()));
         std::fs::write(&file, b"not a directory").expect("write");
-        for (var, env) in [
-            (
-                "RFP_STORE",
-                RunEnv {
-                    store: Some(file.clone()),
-                    ..RunEnv::default()
-                },
-            ),
-            (
-                "RFP_HISTORY",
-                RunEnv {
-                    history: Some(file.clone()),
-                    ..RunEnv::default()
-                },
-            ),
-        ] {
-            let err = env.open_stores().unwrap_err();
-            assert!(err.starts_with(&format!("{var}=")), "{err}");
-        }
+        let env = RunEnv {
+            store: Some(file.clone()),
+            ..RunEnv::default()
+        };
+        let err = env.open_store().unwrap_err();
+        assert!(err.starts_with("RFP_STORE="), "{err}");
         std::fs::remove_file(&file).expect("cleanup");
-        let none = RunEnv::default().open_stores().expect("nothing to open");
-        assert!(none.store.is_none() && none.history.is_none());
+        let none = RunEnv::default().open_store().expect("nothing to open");
+        assert!(none.is_none());
     }
 
     #[test]

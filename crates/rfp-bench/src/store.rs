@@ -9,11 +9,6 @@
 //! - `results/` — the one cache tier: one
 //!   [`SimReport`](rfp_stats::SimReport) per `(schema, trace params,
 //!   config, sim mode, warm mode, probe arm, workload)` job.
-//! - `history/` — the append-only run-history ledger
-//!   (`crate::history`): one `RunRecord` per labelled sweep. Unlike the
-//!   cache tier, ledger entries are *records*, not recomputable cache
-//!   state, so [`ExpStore::gc`] excludes the tier unless explicitly
-//!   asked (`store gc --include-history`).
 //! - `warm/` and `traces/` — warm snapshots and compiled trace arenas,
 //!   which earlier versions cached. No run reads or writes them; `gc`
 //!   empties them whatever its budget, and `store stats` still lists
@@ -56,7 +51,7 @@ const MAGIC: &[u8; 8] = b"RFPSTORE";
 /// results. Schema 2 seals entries with the word-wise `entry_checksum`.
 pub const STORE_SCHEMA_VERSION: u32 = 2;
 
-/// The four content tiers of an [`ExpStore`].
+/// The three content tiers of an [`ExpStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Finished per-job [`SimReport`](rfp_stats::SimReport)s.
@@ -67,13 +62,11 @@ pub enum Tier {
     /// Compiled trace arenas: written by earlier versions only, and
     /// emptied by [`ExpStore::gc`].
     Trace,
-    /// Append-only run-history ledger records (`crate::history`).
-    History,
 }
 
 impl Tier {
     /// All tiers, in directory-listing order.
-    pub const ALL: [Tier; 4] = [Tier::Result, Tier::Warm, Tier::Trace, Tier::History];
+    pub const ALL: [Tier; 3] = [Tier::Result, Tier::Warm, Tier::Trace];
 
     /// Subdirectory name under the store root.
     pub fn dir(self) -> &'static str {
@@ -81,7 +74,6 @@ impl Tier {
             Tier::Result => "results",
             Tier::Warm => "warm",
             Tier::Trace => "traces",
-            Tier::History => "history",
         }
     }
 
@@ -90,7 +82,6 @@ impl Tier {
             Tier::Result => 0,
             Tier::Warm => 1,
             Tier::Trace => 2,
-            Tier::History => 3,
         }
     }
 }
@@ -320,14 +311,9 @@ impl ExpStore {
 
     /// Every `.bin` entry currently on disk: `(tier, path, bytes, mtime)`.
     /// Unreadable entries are skipped (they are unreadable for `gc` too).
-    /// `include_history` controls whether ledger records are listed —
-    /// the gc path defaults to leaving them alone.
-    fn entries(&self, include_history: bool) -> Vec<(Tier, PathBuf, u64, SystemTime)> {
+    fn entries(&self) -> Vec<(Tier, PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
         for tier in Tier::ALL {
-            if tier == Tier::History && !include_history {
-                continue;
-            }
             let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
                 continue;
             };
@@ -345,8 +331,8 @@ impl ExpStore {
     }
 
     /// Per-tier on-disk usage, in [`Tier::ALL`] order.
-    pub fn disk_stats(&self) -> [TierUsage; 4] {
-        let mut usage = [TierUsage::default(); 4];
+    pub fn disk_stats(&self) -> [TierUsage; 3] {
+        let mut usage = [TierUsage::default(); 3];
         for (i, tier) in Tier::ALL.iter().enumerate() {
             let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
                 continue;
@@ -372,12 +358,8 @@ impl ExpStore {
     /// every `warm/` and `traces/` entry (no run reads them), then evicts
     /// least-recently-used entries (by mtime, which hits refresh) until
     /// total usage is at most `max_bytes`. Returns
-    /// `(entries_evicted, bytes_evicted)`. The history ledger is records,
-    /// not cache: its entries neither count toward the budget nor get
-    /// evicted unless `include_history` is set (`store gc
-    /// --include-history`), so LRU pressure can never silently eat the
-    /// run trajectory.
-    pub fn gc(&self, max_bytes: u64, include_history: bool) -> (u64, u64) {
+    /// `(entries_evicted, bytes_evicted)`.
+    pub fn gc(&self, max_bytes: u64) -> (u64, u64) {
         for tier in Tier::ALL {
             let Ok(dir) = std::fs::read_dir(self.root.join(tier.dir())) else {
                 continue;
@@ -389,7 +371,7 @@ impl ExpStore {
             }
         }
         let unread = |tier: Tier| matches!(tier, Tier::Warm | Tier::Trace);
-        let mut entries = self.entries(include_history);
+        let mut entries = self.entries();
         let mut total: u64 = entries.iter().map(|(_, _, n, _)| n).sum();
         // Unread entries first, whatever their age.
         entries.sort_by_key(|&(tier, _, _, mtime)| (!unread(tier), mtime));
@@ -522,20 +504,6 @@ fn decode_entry<T: Codec>(bytes: &[u8], tier: Tier, key: &str) -> Decoded<T> {
         Ok(v) => Decoded::Value(v),
         Err(_) => Decoded::Corrupt,
     }
-}
-
-/// Verifies and decodes one entry *without* a lookup key — the ledger's
-/// listing path, which enumerates a whole tier directory and so learns
-/// each entry's key from the entry itself. Every check of
-/// [`decode_entry`] except stored-key equality applies; the stored key
-/// is returned alongside the payload. `None` on any verification or
-/// decode failure (the caller skips the entry).
-pub(crate) fn decode_entry_unkeyed<T: Codec>(bytes: &[u8], tier: Tier) -> Option<(String, T)> {
-    let (key, payload) = open_envelope(bytes, tier)?;
-    let key = String::from_utf8(key.to_vec()).ok()?;
-    rfp_types::codec::decode_from_slice(payload)
-        .ok()
-        .map(|v| (key, v))
 }
 
 /// Canonical result-tier key for one grid job. Everything that can
@@ -810,7 +778,7 @@ mod tests {
         }
         let total: u64 = store.disk_stats().iter().map(|u| u.bytes).sum();
         let per_entry = total / 8;
-        let (evicted, evicted_bytes) = store.gc(total - 3 * per_entry, false);
+        let (evicted, evicted_bytes) = store.gc(total - 3 * per_entry);
         assert_eq!(evicted, 3, "evicts just enough entries");
         assert_eq!(evicted_bytes, 3 * per_entry);
         // The survivors are the *newest* five.
@@ -869,7 +837,7 @@ mod tests {
         };
         assert_eq!(counts(store), (1, 2));
         assert!(render_store_stats(store).contains("2 tmp"));
-        assert_eq!(store.gc(u64::MAX, false), (0, 0), "no entry is over budget");
+        assert_eq!(store.gc(u64::MAX), (0, 0), "no entry is over budget");
         assert!(live.exists(), "a live writer's file survives");
         // Without /proc no writer can be shown dead, so nothing goes.
         let reaped = Path::new("/proc").is_dir();
@@ -902,60 +870,16 @@ mod tests {
         }
         // The unread entries are the newest: age does not spare them.
         let old = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1000);
-        for tier in [Tier::Result, Tier::History] {
-            let f = std::fs::File::open(store.entry_path(tier, "k")).expect("entry");
-            f.set_modified(old).expect("set mtime");
-        }
+        let f = std::fs::File::open(store.entry_path(Tier::Result, "k")).expect("entry");
+        f.set_modified(old).expect("set mtime");
         let before = store.disk_stats();
         let unread = before[1].bytes + before[2].bytes;
-        assert_eq!(store.gc(u64::MAX, false), (2, unread));
+        assert_eq!(store.gc(u64::MAX), (2, unread));
         let after = store.disk_stats();
         let entries: Vec<u64> = after.iter().map(|u| u.entries).collect();
-        assert_eq!(entries, [1, 0, 0, 1], "results and history stay");
+        assert_eq!(entries, [1, 0, 0], "results stay");
         assert!(render_store_stats(store).contains("warm"));
         assert!(render_store_stats(store).contains("traces"));
-    }
-
-    #[test]
-    fn gc_spares_the_history_tier_unless_asked() {
-        let s = Scratch::new("gc-history");
-        let store = &s.0;
-        store.put(Tier::Result, "cache-entry", &vec![0u64; 64]);
-        store.put(Tier::History, "ledger-entry", &vec![1u64; 64]);
-        // A zero-byte budget evicts every *cache* entry, but the ledger
-        // survives by default...
-        let (evicted, _) = store.gc(0, false);
-        assert_eq!(evicted, 1, "only the cache entry goes");
-        assert!(store
-            .get::<Vec<u64>>(Tier::History, "ledger-entry")
-            .is_some());
-        // ...and goes only under --include-history.
-        let (evicted, _) = store.gc(0, true);
-        assert_eq!(evicted, 1);
-        assert_eq!(store.disk_stats().iter().map(|u| u.entries).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn unkeyed_decode_round_trips_and_rejects_damage() {
-        let s = Scratch::new("unkeyed");
-        let store = &s.0;
-        let value: Vec<u64> = vec![9, 8, 7];
-        store.put(Tier::History, "history|seq=1|label=a", &value);
-        let path = store.entry_path(Tier::History, "history|seq=1|label=a");
-        let bytes = std::fs::read(&path).expect("entry");
-        let (key, back) =
-            decode_entry_unkeyed::<Vec<u64>>(&bytes, Tier::History).expect("verified");
-        assert_eq!(key, "history|seq=1|label=a");
-        assert_eq!(back, value);
-        // Wrong tier, truncation, and a bit flip all read as None.
-        assert!(decode_entry_unkeyed::<Vec<u64>>(&bytes, Tier::Result).is_none());
-        assert!(
-            decode_entry_unkeyed::<Vec<u64>>(&bytes[..bytes.len() / 2], Tier::History).is_none()
-        );
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert!(decode_entry_unkeyed::<Vec<u64>>(&bad, Tier::History).is_none());
     }
 
     #[test]

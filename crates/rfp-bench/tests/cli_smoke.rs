@@ -2,7 +2,8 @@
 //! committed baselines were written at: side outputs must not change
 //! stdout, one invocation must plan every row into one grid (each trace
 //! compiled once, every warm snapshot freed), the side documents must
-//! match `baselines/`, and a persistent store must be invisible in
+//! match `baselines/`, the dashboard over them must render
+//! deterministically, and a persistent store must be invisible in
 //! stdout.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,6 +151,7 @@ fn timeliness_compiles_each_trace_once() {
 fn engine_trace_of_a_forking_run_holds_every_stage() {
     let dir = Scratch::new("engine-trace");
     let (metrics, trace) = (dir.file("metrics.json"), dir.file("engine-trace.json"));
+    let telemetry = dir.file("telemetry.jsonl");
     let plain = stdout_of(&["fig10", "tab1"]);
     let traced = stdout_of(&[
         "fig10",
@@ -158,6 +160,8 @@ fn engine_trace_of_a_forking_run_holds_every_stage() {
         &metrics,
         "--engine-trace-out",
         &trace,
+        "--telemetry-out",
+        &telemetry,
     ]);
     assert!(plain == traced, "the tracer changed stdout");
     let text = std::fs::read_to_string(&trace).expect("engine trace written");
@@ -175,9 +179,60 @@ fn engine_trace_of_a_forking_run_holds_every_stage() {
         assert!(kinds.contains(kind), "no {kind} event in {kinds:?}");
     }
     let em = "otherData.engineMetrics";
-    assert_eq!(num(&doc, &format!("{em}.schema")), 1.0);
+    assert_eq!(num(&doc, &format!("{em}.schema")), 2.0);
     assert!(num(&doc, &format!("{em}.jobs")) > 0.0);
     assert!(num(&doc, &format!("{em}.warm_pool.snapshot_hits")) > 0.0);
+    // The dashboard over the three documents: byte-deterministic, every
+    // section present, tags balanced, the metrics document rendered.
+    let render = |name: &str| {
+        let html = dir.file(name);
+        stdout_of(&[
+            "report",
+            "--report-out",
+            &html,
+            "--metrics",
+            &metrics,
+            "--engine-trace",
+            &trace,
+            "--telemetry",
+            &telemetry,
+        ]);
+        std::fs::read_to_string(&html).expect("report written")
+    };
+    let html = render("report.html");
+    assert!(
+        html == render("report-again.html"),
+        "report is not deterministic"
+    );
+    let anchors = [
+        "overview",
+        "workloads",
+        "cpi",
+        "funnel",
+        "profile",
+        "sampling",
+        "engine",
+    ];
+    for anchor in anchors {
+        assert!(
+            html.contains(&format!("<section id=\"{anchor}\">")),
+            "no {anchor}"
+        );
+    }
+    assert!(
+        !html.contains("<section id=\"trend\">"),
+        "the trend section is retired"
+    );
+    for tag in ["section", "table", "svg", "main", "html"] {
+        let opens =
+            html.matches(&format!("<{tag} ")).count() + html.matches(&format!("<{tag}>")).count();
+        assert_eq!(
+            opens,
+            html.matches(&format!("</{tag}>")).count(),
+            "unbalanced <{tag}>"
+        );
+    }
+    assert!(!html.contains("no metrics document provided"));
 }
 
 #[test]
@@ -222,7 +277,7 @@ fn store_runs_match_the_store_off_run_and_read_only_results() {
     // With the results gone, nothing on disk serves the re-run.
     assert_eq!(num(&inval.2, "store.bytes_read"), 0.0, "{:?}", inval.2);
     let stats = stdout_of(&["store", "stats", "--store", &store]);
-    for tier in ["results", "warm", "traces", "history", "total"] {
+    for tier in ["results", "warm", "traces", "total"] {
         assert!(stats.contains(tier), "{stats}");
     }
     let gc = stdout_of(&["store", "gc", "--max-bytes", "4096", "--store", &store]);

@@ -746,67 +746,52 @@ mod persistent_store {
     }
 
     #[test]
-    fn history_show_and_trend_are_byte_identical_across_threads_and_store_states() {
-        // The run-history ledger records only the deterministic stratum
-        // of a sweep, so `history show` and `trend` over records produced
-        // at any thread count, with the store off, cold or warm, must
-        // render byte-identical text. Host timings ride along in the
-        // records but are quarantined out of everything rendered here.
-        use rfp_bench::{render_history_show, Harness, HistoryLedger, RunRecord};
-        use rfp_stats::{render_trend_table, TrendParams};
+    fn sampling_report_is_byte_identical_across_threads_and_store_states() {
+        // The `--sampling-report` document holds only the deterministic
+        // stratum of a sweep, so it must come out byte-identical at any
+        // thread count with the store off, cold or warm.
+        use rfp_bench::{parse_json, Harness, Json};
         let len = 1_500;
         let cfg = CoreConfig::tiger_lake().with_rfp();
-        let record_text = |pool: WarmPool, threads: usize| -> (String, String) {
-            let mut h = Harness::with_pool(len, threads, pool);
-            let report = h.sampling_json(&cfg);
-            // Two records from the same sweep in a fresh ledger: `show`
-            // exercises the full canonical text, `trend` the gating math
-            // (a flat two-point series must come out clean).
-            let scratch = Scratch::new("hist-ledger");
-            let ledger = HistoryLedger::new(scratch.open());
-            for (label, ts) in [("run-a", "-"), ("run-b", "2026-08-09")] {
-                let r = RunRecord::from_documents(label, ts, &report, None)
-                    .expect("sweep report parses");
-                ledger.add(r).expect("ledger append");
-            }
-            let view = ledger.load();
-            let show = render_history_show(&view);
-            let trend =
-                render_trend_table(&rfp_bench::trend_rows(&view, &[], &TrendParams::default()));
-            (show, trend)
-        };
         // One shared store, pre-filled so the "warm" arm is all hits.
-        let warm_scratch = Scratch::new("hist-warm");
+        let warm_scratch = Scratch::new("sampling-warm");
         {
             let pool = WarmPool::new(WarmMode::Exact, len).with_store(Some(warm_scratch.open()));
             let mut h = Harness::with_pool(len, 2, pool);
             let _ = h.sampling_json(&cfg);
         }
-        let mut reference: Option<(String, String)> = None;
+        let mut reference: Option<String> = None;
         for threads in [1, 2, 8] {
             for state in ["off", "cold", "warm"] {
-                let cold_scratch = Scratch::new("hist-cold");
-                let pool = match state {
-                    "off" => WarmPool::new(WarmMode::Exact, len),
-                    "cold" => {
-                        WarmPool::new(WarmMode::Exact, len).with_store(Some(cold_scratch.open()))
-                    }
-                    _ => WarmPool::new(WarmMode::Exact, len).with_store(Some(warm_scratch.open())),
+                let cold_scratch = Scratch::new("sampling-cold");
+                let store = match state {
+                    "off" => None,
+                    "cold" => Some(cold_scratch.open()),
+                    _ => Some(warm_scratch.open()),
                 };
-                let got = record_text(pool, threads);
-                assert!(
-                    got.0.contains("2 run(s)"),
-                    "{state} t{threads}: both records must land"
-                );
-                assert!(
-                    got.1.ends_with("no regressions\n"),
-                    "{state} t{threads}: a flat series must gate clean"
+                let pool = WarmPool::new(WarmMode::Exact, len).with_store(store.clone());
+                let mut h = Harness::with_pool(len, threads, pool);
+                let got = h.sampling_json(&cfg);
+                let hits = store.map_or(0, |s| s.stats().hits);
+                let suite = rfp_trace::suite().len() as u64;
+                assert_eq!(
+                    hits,
+                    if state == "warm" { suite } else { 0 },
+                    "{state} t{threads}: store hits"
                 );
                 match &reference {
-                    None => reference = Some(got),
-                    Some(r) => {
-                        assert_eq!(&got, r, "{state} t{threads}: ledger rendering diverged")
+                    None => {
+                        let Ok(Json::Obj(doc)) = parse_json(&got) else {
+                            panic!("sampling report does not parse: {got}");
+                        };
+                        let rows = doc.iter().find(|(k, _)| k == "workloads");
+                        assert!(
+                            matches!(rows, Some((_, Json::Arr(w))) if w.len() as u64 == suite),
+                            "one row per workload: {got}"
+                        );
+                        reference = Some(got);
                     }
+                    Some(r) => assert!(&got == r, "{state} t{threads}: sampling report diverged"),
                 }
             }
         }

@@ -66,9 +66,9 @@ pub enum WarmMode {
     /// No snapshotting at all: every job re-runs its own warmup through
     /// the legacy per-job path. Useful as the byte-identity reference.
     Off,
-    /// The default. Jobs whose *warmup-relevant* configuration projection
-    /// matches fork one shared [`WarmState`]; results are byte-identical
-    /// to straight-through runs by construction.
+    /// The default. Jobs with equal configurations ([`config_key`]) fork
+    /// one shared [`WarmState`], built under that very configuration, so
+    /// results are byte-identical to straight-through runs.
     #[default]
     Exact,
 }
@@ -219,56 +219,18 @@ pub fn build_sample_plan(trace: &CompiledTrace) -> SamplePlan {
     }
 }
 
-/// The *warmup-relevant projection* of a configuration: `cfg` with every
-/// field that provably cannot influence warm-state construction
-/// normalized to a canonical value.
-///
-/// Two configs with equal projections produce bit-identical warm state,
-/// so their grid jobs can share one snapshot. The rule for adding fields
-/// here is conservative: a field may be normalized **only** when the
-/// simulator provably never reads it before the stats-reset boundary
-/// under the rest of the projection — anything else must stay, which
-/// `tests/parallel_determinism.rs` enforces by perturbation.
-pub fn warm_projection(cfg: &CoreConfig) -> CoreConfig {
-    let mut c = cfg.clone();
-    if !matches!(c.vp, VpMode::Epp(_)) {
-        // The core RNG is drawn only for EPP SSBF false-positive rolls;
-        // under every other VP mode the seed and rate are dead state.
-        c.seed = 0;
-        c.epp_false_positive_rate = 0.0;
-    }
-    if let Some(rfp) = c.rfp.as_mut() {
-        if !rfp.critical_only {
-            // The criticality table only consults the threshold when
-            // critical-only targeting is on.
-            rfp.criticality_threshold = 0;
-        }
-        if !c.vp.is_on() {
-            // The VP filter can only veto a prefetch when a value
-            // prediction exists to veto with.
-            rfp.vp_filter = false;
-        }
-    }
-    c
-}
-
-/// Snapshot-sharing key: [`config_key`] of the [`warm_projection`].
-pub fn warm_key(cfg: &CoreConfig) -> u64 {
-    config_key(&warm_projection(cfg))
-}
-
 /// The *twin* of a configuration for [`SimMode::Sample`]: the same
 /// memory hierarchy, branch handling, and core sizing, but with the
 /// measurement-phase features (RFP, value prediction, dedicated RFP
-/// ports) stripped, then projected. Every config in a typical sweep that
-/// varies only those features collapses onto one twin, whose warm caches
-/// and predictors are transplanted into each sampled window.
+/// ports) stripped. Every config in a typical sweep that varies only
+/// those features collapses onto one twin, whose warm caches and
+/// predictors are transplanted into each sampled window.
 pub fn warm_twin(cfg: &CoreConfig) -> CoreConfig {
     let mut c = cfg.clone();
     c.rfp = None;
     c.vp = VpMode::Off;
     c.ports.dedicated_rfp = 0;
-    warm_projection(&c)
+    c
 }
 
 /// Counter snapshot of a [`WarmPool`] (see [`WarmPool::stats`]).
@@ -555,7 +517,7 @@ impl WarmPool {
         probe: Q,
     ) -> (rfp_stats::CoreStats, Q) {
         let trace = self.trace(suite, wi, 0);
-        let snap = Arc::unwrap_or_clone(self.snapshot(cfg, warm_key(cfg), suite, wi, 0));
+        let snap = Arc::unwrap_or_clone(self.snapshot(cfg, config_key(cfg), suite, wi, 0));
         let rest = trace.ops()[snap.consumed_uops() as usize..].iter().copied();
         snap.resume_probed(rest, probe)
     }
@@ -581,9 +543,9 @@ impl WarmPool {
 
 /// Per-row fork plan for one pooled grid run.
 struct JobPlan {
-    /// [`warm_key`] of the config.
+    /// [`config_key`] of the config.
     exact: u64,
-    /// Sampled runs only: the twin's key and (projected) config, when
+    /// Sampled runs only: the twin's key and config, when
     /// the config is *not* its own twin.
     twin: Option<(u64, CoreConfig)>,
     /// Whether a snapshot is worth building: its sharing key occurs at
@@ -609,7 +571,7 @@ fn plan_jobs(pool: &WarmPool, rows: &[(CoreConfig, bool)]) -> (Vec<JobPlan>, Vec
     let mut plans: Vec<JobPlan> = rows
         .iter()
         .map(|(cfg, _)| {
-            let exact = warm_key(cfg);
+            let exact = config_key(cfg);
             let twin = if pool.sim == SimMode::Sample {
                 let twin_cfg = warm_twin(cfg);
                 let twin_key = config_key(&twin_cfg);
@@ -1398,27 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_key_normalizes_inert_fields_only() {
-        // Seed is dead state unless EPP is rolling SSBF false positives.
-        let a = CoreConfig::tiger_lake();
-        let mut b = a.clone();
-        b.seed ^= 0xdead_beef;
-        assert_eq!(warm_key(&a), warm_key(&b), "seed is inert without EPP");
-        assert_ne!(config_key(&a), config_key(&b));
-
-        let mut ea = a.clone();
-        ea.vp = VpMode::Epp(Default::default());
-        let mut eb = ea.clone();
-        eb.seed ^= 0xdead_beef;
-        assert_ne!(warm_key(&ea), warm_key(&eb), "seed is live under EPP");
-
-        // A warmup-relevant field must change the key.
-        let mut c = a.clone();
-        c.mem.l1.size_bytes *= 2;
-        assert_ne!(warm_key(&a), warm_key(&c), "L1 geometry shapes warmup");
-    }
-
-    #[test]
     fn warm_twin_collapses_measurement_features() {
         let base = CoreConfig::tiger_lake();
         let rfp = CoreConfig::tiger_lake().with_rfp();
@@ -1429,30 +1370,21 @@ mod tests {
         assert_eq!(t, config_key(&warm_twin(&rfp)));
         assert_eq!(t, config_key(&warm_twin(&dedicated)));
         // The baseline is its own twin.
-        assert_eq!(t, warm_key(&base));
-        assert_ne!(t, warm_key(&rfp));
+        assert_eq!(t, config_key(&base));
+        assert_ne!(t, config_key(&rfp));
         // Twins always validate (they must be runnable configs).
         warm_twin(&dedicated).validate().unwrap();
     }
 
     #[test]
     fn pooled_grid_matches_unpooled_at_any_mode() {
-        // Two seed-variants of the same projection: the exact pool forks
-        // one snapshot per workload; results must be byte-identical to
-        // the pool-disabled engine.
-        let mut seeded = CoreConfig::tiger_lake().with_rfp();
-        seeded.seed ^= 0x5eed;
-        let configs = [CoreConfig::tiger_lake().with_rfp(), seeded];
-        let off = run_grid(
-            &WarmPool::new(WarmMode::Off, 400),
-            &rows(&configs, false),
-            2,
-        );
-        let exact = run_grid(
-            &WarmPool::new(WarmMode::Exact, 400),
-            &rows(&configs, false),
-            2,
-        );
+        // The plain and instrumented rows of one config share a snapshot
+        // key: the exact pool forks one snapshot per workload; results
+        // must be byte-identical to the pool-disabled engine.
+        let cfg = CoreConfig::tiger_lake().with_rfp();
+        let grid_rows = [(cfg.clone(), false), (cfg, true)];
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 400), &grid_rows, 2);
+        let exact = run_grid(&WarmPool::new(WarmMode::Exact, 400), &grid_rows, 2);
         for (o, e) in off
             .reports
             .iter()
@@ -1483,18 +1415,15 @@ mod tests {
 
     #[test]
     fn a_snapshot_is_dropped_after_its_last_fork() {
-        // A and B share a warm key, and so do C and D: each pair differs
-        // only by seed, which the projection normalizes. Listed as
-        // [A, C, B, D], the grid still claims A, B, C, D per workload, so
-        // one worker holds one snapshot at a time.
+        // A's plain and instrumented rows share a snapshot key, and so
+        // do C's. Listed as [A, C, A obs, C obs], the grid still claims
+        // both A rows, then both C rows per workload, so one worker holds
+        // one snapshot at a time.
         let a = CoreConfig::tiger_lake();
         let c = CoreConfig::tiger_lake().with_rfp();
-        let (mut b, mut d) = (a.clone(), c.clone());
-        b.seed ^= 0x5eed;
-        d.seed ^= 0x5eed;
-        let configs = [a, c, b, d];
+        let grid_rows = [(a.clone(), false), (c.clone(), false), (a, true), (c, true)];
         let pool = WarmPool::new(WarmMode::Exact, 300);
-        let exact = run_grid(&pool, &rows(&configs, false), 1);
+        let exact = run_grid(&pool, &grid_rows, 1);
         let stats = pool.stats();
         let n = rfp_trace::suite().len() as u64;
         assert_eq!((stats.snapshot_misses, stats.snapshot_hits), (2 * n, 2 * n));
@@ -1504,11 +1433,7 @@ mod tests {
         );
         assert_eq!(stats.live_snapshots, 0);
         assert!(exact.telemetry.iter().all(|t| t.warm == "fork"));
-        let off = run_grid(
-            &WarmPool::new(WarmMode::Off, 300),
-            &rows(&configs, false),
-            1,
-        );
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &grid_rows, 1);
         assert_eq!(exact.reports, off.reports);
     }
 
@@ -1538,16 +1463,18 @@ mod tests {
     fn pool_spans_nest_in_a_simulate_span_on_their_own_lane() {
         let dir = Dir::new("lanes");
         let tracer = Arc::new(EngineTracer::new());
-        // A and B share a warm key and fork; the RFP config runs
-        // straight.
+        // The baseline's plain and instrumented rows share a snapshot key
+        // and fork; the RFP config runs straight.
         let a = CoreConfig::tiger_lake();
-        let mut b = a.clone();
-        b.seed ^= 0x5eed;
-        let configs = [a, b, CoreConfig::tiger_lake().with_rfp()];
+        let grid_rows = [
+            (a.clone(), false),
+            (a, true),
+            (CoreConfig::tiger_lake().with_rfp(), false),
+        ];
         let pool = WarmPool::new(WarmMode::Exact, 300)
             .with_store(dir.store())
             .with_tracer(Some(Arc::clone(&tracer)));
-        let out = run_grid(&pool, &rows(&configs, false), 2);
+        let out = run_grid(&pool, &grid_rows, 2);
         let spans = tracer.spans();
         let inside = |s: &rfp_obs::EngineSpan| {
             spans.iter().any(|p| {
@@ -1573,11 +1500,7 @@ mod tests {
             );
         }
         assert_eq!(pool.stats().live_snapshots, 0, "every snapshot released");
-        let off = run_grid(
-            &WarmPool::new(WarmMode::Off, 300),
-            &rows(&configs, false),
-            1,
-        );
+        let off = run_grid(&WarmPool::new(WarmMode::Off, 300), &grid_rows, 1);
         assert_eq!(out.reports, off.reports);
     }
 
@@ -1600,7 +1523,7 @@ mod tests {
             CoreConfig::tiger_lake(),
             CoreConfig::tiger_lake().with_rfp(),
         ];
-        assert_ne!(warm_key(&configs[0]), warm_key(&configs[1]));
+        assert_ne!(config_key(&configs[0]), config_key(&configs[1]));
         let pool = WarmPool::new(WarmMode::Exact, 300).with_store(dir.store());
         let out = run_grid(&pool, &rows(&configs, false), 2);
         assert_eq!(pool.stats().snapshot_misses, 0);

@@ -42,10 +42,9 @@ pub use diff::{
     diff_metrics, diff_metrics_with, flatten, parse_json, DiffOutcome, Json, Violation,
 };
 pub use engine::{
-    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, warm_key,
-    warm_projection, warm_twin, GridOutcome, JobTelemetry, SamplePhase, SamplePlan, SimMode,
-    WarmMode, WarmPool, WarmPoolStats, SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX,
-    TELEMETRY_SCHEMA_VERSION,
+    build_sample_plan, config_key, default_threads, run_grid, telemetry_jsonl, warm_twin,
+    GridOutcome, JobTelemetry, SamplePhase, SamplePlan, SimMode, WarmMode, WarmPool, WarmPoolStats,
+    SAMPLE_INTERVAL_UOPS, SAMPLE_WARM_PREFIX, TELEMETRY_SCHEMA_VERSION,
 };
 pub use engine_trace::{engine_metrics, engine_trace_json, write_engine_trace};
 pub use inspect::{inspect_workload, InspectOutcome, INSPECT_LEAD_UOPS};
@@ -569,8 +568,8 @@ impl Harness {
             ),
             (
                 "VP flush penalty",
-                c.vp_flush_penalty.to_string(),
-                c2.vp_flush_penalty.to_string(),
+                rfp_core::VP_FLUSH_PENALTY.to_string(),
+                rfp_core::VP_FLUSH_PENALTY.to_string(),
             ),
         ];
         for (k, a, b) in &rows {

@@ -56,7 +56,7 @@ pub const STORE_SCHEMA_VERSION: u32 = 2;
 pub enum Tier {
     /// Finished per-job [`SimReport`](rfp_stats::SimReport)s.
     Result,
-    /// Per-`(projection, workload)` warm snapshots: written by earlier
+    /// Per-`(config, workload)` warm snapshots: written by earlier
     /// versions only, and emptied by [`ExpStore::gc`].
     Warm,
     /// Compiled trace arenas: written by earlier versions only, and

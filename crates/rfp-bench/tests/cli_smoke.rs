@@ -36,15 +36,23 @@ impl Drop for Scratch {
 /// Runs `experiments args` at `RFP_TRACE_LEN=2000 RFP_THREADS=2`, every
 /// other `RFP_*` knob cleared, and returns its output.
 fn experiments(args: &[&str]) -> Output {
+    experiments_with(&[], args)
+}
+
+/// [`experiments`] with the `RFP_*` variables of `env` set on top (and
+/// over) the defaults.
+fn experiments_with(env: &[(&str, &str)], args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
     for (var, _) in std::env::vars() {
         if var.starts_with("RFP_") {
             cmd.env_remove(var);
         }
     }
-    cmd.env("RFP_TRACE_LEN", "2000")
-        .env("RFP_THREADS", "2")
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+    cmd.env("RFP_TRACE_LEN", "2000").env("RFP_THREADS", "2");
+    for (var, value) in env {
+        cmd.env(var, value);
+    }
+    cmd.current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
         .args(args)
         .output()
         .expect("experiments runs")
@@ -52,7 +60,12 @@ fn experiments(args: &[&str]) -> Output {
 
 /// `experiments args`' stdout, after checking it exited 0.
 fn stdout_of(args: &[&str]) -> String {
-    let out = experiments(args);
+    stdout_with(&[], args)
+}
+
+/// [`stdout_of`] under [`experiments_with`]'s `env`.
+fn stdout_with(env: &[(&str, &str)], args: &[&str]) -> String {
+    let out = experiments_with(env, args);
     assert!(
         out.status.success(),
         "experiments {args:?} failed: {}",
@@ -107,6 +120,7 @@ fn all_with_side_outputs_matches_plain_all_and_the_baselines() {
     let dir = Scratch::new("all");
     let (metrics, profile) = (dir.file("metrics.json"), dir.file("profile.json"));
     let (collapsed, telemetry) = (dir.file("collapsed.txt"), dir.file("telemetry.jsonl"));
+    let traces = dir.file("traces");
     let plain = stdout_of(&["all"]);
     let with_side = stdout_of(&[
         "all",
@@ -118,8 +132,22 @@ fn all_with_side_outputs_matches_plain_all_and_the_baselines() {
         &collapsed,
         "--telemetry-out",
         &telemetry,
+        "--trace-out",
+        &traces,
+        "--trace-workload",
+        "spec06_libquantum",
     ]);
     assert!(plain == with_side, "side outputs changed stdout");
+    // The Perfetto pipeline trace parses and holds prefetch lifetimes.
+    let text = std::fs::read_to_string(dir.0.join("traces/spec06_libquantum.trace.json"))
+        .expect("pipeline trace written");
+    let trace = flatten(&parse_json(&text).expect("pipeline trace parses"));
+    assert!(
+        trace.iter().any(|(k, v)| k.starts_with("traceEvents[")
+            && k.ends_with("].name")
+            && matches!(v, Json::Str(name) if name == "rfp-useful")),
+        "no rfp-useful event in the pipeline trace"
+    );
     let pool = summary(&telemetry, "warm_pool");
     assert_one_grid(&pool);
     // The side documents' instrumented RFP row forks the snapshots of
@@ -284,4 +312,79 @@ fn store_runs_match_the_store_off_run_and_read_only_results() {
     assert!(gc.starts_with("evicted "), "{gc}");
     let clear = stdout_of(&["store", "clear", "--store", &store]);
     assert!(clear.starts_with("removed "), "{clear}");
+}
+
+#[test]
+fn inspect_is_thread_invariant_and_writes_well_formed_side_files() {
+    // Two CPI intervals of 8,192 uops at least, so the recorder has
+    // windows to pick.
+    let dir = Scratch::new("inspect");
+    let env = |threads| {
+        [
+            ("RFP_TRACE_LEN", "24576"),
+            ("RFP_THREADS", threads),
+            ("RFP_INSPECT_WINDOWS", "2"),
+        ]
+    };
+    let kanata_kinds = ["C=", "C", "I", "L", "S", "E", "R", "W"];
+    for w in ["spec17_mcf", "spec06_libquantum"] {
+        let (json, kanata) = (
+            dir.file(&format!("{w}.json")),
+            dir.file(&format!("{w}.kanata")),
+        );
+        let two = stdout_with(
+            &env("2"),
+            &[
+                "inspect",
+                "--inspect-out",
+                &json,
+                "--konata-out",
+                &kanata,
+                w,
+            ],
+        );
+        let eight = stdout_with(&env("8"), &["inspect", w]);
+        assert!(two == eight, "{w}: stdout depends on the thread count");
+        let text = std::fs::read_to_string(&json).expect("inspect windows written");
+        // Flattened keys read `windows[i].uops[j].alloc`.
+        let doc = flatten(&parse_json(&text).expect("inspect windows parse"));
+        assert!(
+            matches!(&doc["workload"], Json::Str(name) if name == w),
+            "{w}"
+        );
+        let window = |i: usize| format!("windows[{i}]");
+        let windows = (0..)
+            .take_while(|&i| doc.contains_key(&format!("{}.rank", window(i))))
+            .count();
+        assert!(windows > 0, "{w}: no anomalous windows captured");
+        for win in (0..windows).map(window) {
+            assert!(
+                doc.contains_key(&format!("{win}.uops[0].seq")),
+                "{w}: {win} empty"
+            );
+            let slots = |name| num(&doc, &format!("{win}.{name}"));
+            assert!(slots("stall_slots") <= slots("total_slots"), "{w}: {win}");
+        }
+        for key in doc.keys().filter(|k| k.ends_with("].alloc")) {
+            let fetch = format!("{}fetch", key.trim_end_matches("alloc"));
+            assert!(num(&doc, key) >= num(&doc, &fetch), "{w}: {key}");
+        }
+        let log = std::fs::read_to_string(&kanata).expect("Konata log written");
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines[0], "Kanata\t0004", "{w}");
+        assert!(lines[1].starts_with("C=\t"), "{w}: {}", lines[1]);
+        fn kind(line: &str) -> &str {
+            line.split('\t').next().unwrap_or_default()
+        }
+        let bad: Vec<&&str> = lines[1..]
+            .iter()
+            .filter(|l| !kanata_kinds.contains(&kind(l)))
+            .take(3)
+            .collect();
+        assert!(bad.is_empty(), "{w}: bad Konata records {bad:?}");
+        assert!(
+            lines.iter().any(|l| kind(l) == "R"),
+            "{w}: no retire record"
+        );
+    }
 }

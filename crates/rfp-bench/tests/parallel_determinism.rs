@@ -3,8 +3,7 @@
 //! in the same order, as a plain serial loop over the suite.
 
 use rfp_bench::{
-    run_grid, run_suite_with_threads, warm_key, warm_projection, SimMode, WarmMode, WarmPool,
-    SAMPLE_INTERVAL_UOPS,
+    run_grid, run_suite_with_threads, SimMode, WarmMode, WarmPool, SAMPLE_INTERVAL_UOPS,
 };
 use rfp_core::{simulate_workload, CoreConfig};
 use rfp_stats::{CpiBucket, CpiReport, ObsMetrics, ProfileReport, SimReport};
@@ -279,46 +278,37 @@ fn warm_forks_are_byte_identical_to_straight_through() {
     // The non-negotiable invariant of the snapshot/fork engine: a run
     // forked from a shared warm snapshot is byte-identical to paying the
     // warmup itself — at every thread count, with and without probes.
-    // The two configs differ only in a warmup-inert field (the seed is
-    // unused without EPP), so they share one projection and the exact
-    // pool serves both columns from a single snapshot per workload.
-    let a = CoreConfig::tiger_lake().with_rfp();
-    let mut b = a.clone();
-    b.seed ^= 0x5eed;
-    assert_eq!(warm_key(&a), warm_key(&b), "must share a projection");
-    let configs = [a, b];
+    // A config's plain and instrumented rows share one snapshot key, so
+    // the exact pool serves both columns from a single snapshot per
+    // workload.
+    let cfg = CoreConfig::tiger_lake().with_rfp();
+    let grid_rows = [(cfg.clone(), false), (cfg, true)];
     let len = 1_500;
-    for collect_obs in [false, true] {
-        let reference = run_grid(
-            &WarmPool::new(WarmMode::Off, len),
-            &rows(&configs, collect_obs),
-            1,
+    let reference = run_grid(&WarmPool::new(WarmMode::Off, len), &grid_rows, 1);
+    let reference_bytes: Vec<Vec<u8>> = reference
+        .reports
+        .iter()
+        .map(|r| canonical_bytes(r))
+        .collect();
+    for threads in [1, 2, 8] {
+        let pool = WarmPool::new(WarmMode::Exact, len);
+        let got = run_grid(&pool, &grid_rows, threads);
+        assert!(
+            got.telemetry.iter().all(|t| t.warm == "fork"),
+            "threads={threads}: every job must fork"
         );
-        let reference_bytes: Vec<Vec<u8>> = reference
-            .reports
-            .iter()
-            .map(|r| canonical_bytes(r))
-            .collect();
-        for threads in [1, 2, 8] {
-            let pool = WarmPool::new(WarmMode::Exact, len);
-            let got = run_grid(&pool, &rows(&configs, collect_obs), threads);
-            assert!(
-                got.telemetry.iter().all(|t| t.warm == "fork"),
-                "threads={threads} obs={collect_obs}: every job must fork"
-            );
-            for (row, (g, r)) in got.reports.iter().zip(&reference_bytes).enumerate() {
-                assert_eq!(
-                    &canonical_bytes(g),
-                    r,
-                    "threads={threads} obs={collect_obs} row={row}: fork diverged"
-                );
-            }
-            let stats = pool.stats();
-            assert!(
-                stats.snapshot_hits > 0 && stats.snapshot_misses > 0,
-                "the pool must actually have shared snapshots"
+        for (row, (g, r)) in got.reports.iter().zip(&reference_bytes).enumerate() {
+            assert_eq!(
+                &canonical_bytes(g),
+                r,
+                "threads={threads} row={row}: fork diverged"
             );
         }
+        let stats = pool.stats();
+        assert!(
+            stats.snapshot_hits > 0 && stats.snapshot_misses > 0,
+            "the pool must actually have shared snapshots"
+        );
     }
 }
 
@@ -429,17 +419,15 @@ fn engine_spans_are_deterministic_across_threads_and_warm_modes() {
     // order and durations differ wildly between runs.
     use rfp_obs::EngineTracer;
     use std::sync::Arc;
-    let a = CoreConfig::tiger_lake().with_rfp();
-    let mut b = a.clone();
-    b.seed ^= 0x5eed;
-    let configs = [a, b];
+    let cfg = CoreConfig::tiger_lake().with_rfp();
+    let grid_rows = [(cfg.clone(), false), (cfg, true)];
     let len = 1_500;
     for mode in [WarmMode::Off, WarmMode::Exact] {
         let mut reference: Option<String> = None;
         for threads in [1, 2, 8] {
             let tracer = Arc::new(EngineTracer::new());
             let pool = WarmPool::new(mode, len).with_tracer(Some(tracer.clone()));
-            let _ = run_grid(&pool, &rows(&configs, false), threads);
+            let _ = run_grid(&pool, &grid_rows, threads);
             assert_eq!(tracer.dropped(), 0);
             let text = tracer.deterministic_text();
             assert!(text.contains("claim "), "{mode:?}: no claim spans");
@@ -468,16 +456,13 @@ fn engine_trace_json_parses_and_report_renders_deterministically() {
     use rfp_bench::{engine_metrics, engine_trace_json, parse_json, render_report, ReportInputs};
     use rfp_obs::EngineTracer;
     use std::sync::Arc;
-    // Two configs sharing warm projections: with a single config no
-    // snapshot key repeats, so the planner sends every job down the
-    // straight path and nothing is ever captured.
-    let a = CoreConfig::tiger_lake().with_rfp();
-    let mut b = a.clone();
-    b.seed ^= 0x5eed;
-    let configs = [a, b];
+    // A config's plain and instrumented rows share a snapshot key: with
+    // a single row no key repeats, so the planner sends every job down
+    // the straight path and nothing is ever captured.
+    let cfg = CoreConfig::tiger_lake().with_rfp();
     let tracer = Arc::new(EngineTracer::new());
     let pool = WarmPool::new(WarmMode::Exact, LEN).with_tracer(Some(tracer.clone()));
-    let outcome = run_grid(&pool, &rows(&configs, false), 4);
+    let outcome = run_grid(&pool, &[(cfg.clone(), false), (cfg, true)], 4);
     let metrics = engine_metrics(&tracer, &outcome.telemetry, &pool.stats(), None);
     assert_eq!(metrics.jobs, outcome.telemetry.len() as u64);
     assert!(metrics.snapshot_misses > 0);
@@ -894,89 +879,6 @@ fn compiled_arena_matches_the_generator_for_every_suite_workload() {
             w.name
         );
     }
-}
-
-#[test]
-fn warmup_relevant_fields_change_the_snapshot_key() {
-    // Negative guard on the projection rule: any field that can shape
-    // warm state must survive into the snapshot key. If a refactor
-    // accidentally normalizes one of these, two configs that warm up
-    // differently would silently share a snapshot.
-    let base = CoreConfig::tiger_lake().with_rfp();
-    let key = warm_key(&base);
-    let mut l1 = base.clone();
-    l1.mem.l1.size_bytes *= 2;
-    let mut lat = base.clone();
-    lat.mem.l1.latency += 1;
-    let mut rob = base.clone();
-    rob.rob_entries += 16;
-    let mut bm = base.clone();
-    bm.branch_mode = rfp_core::BranchMode::Gshare;
-    let mut pf = base.clone();
-    pf.l1_ip_prefetcher = false;
-    let mut pt = base.clone();
-    if let Some(r) = pt.rfp.as_mut() {
-        r.table.entries *= 2;
-    }
-    for (name, cfg) in [
-        ("L1 size", &l1),
-        ("L1 latency", &lat),
-        ("ROB entries", &rob),
-        ("branch mode", &bm),
-        ("L1 IP prefetcher", &pf),
-        ("PT entries", &pt),
-    ] {
-        assert_ne!(warm_key(cfg), key, "{name} shapes warmup and must re-key");
-    }
-}
-
-#[test]
-fn projection_normalizes_only_provably_inert_fields() {
-    let base = CoreConfig::tiger_lake().with_rfp();
-    let key = warm_key(&base);
-    // Inert under the base config (VP off, critical_only off): the EPP
-    // false-positive rate, the criticality threshold, and the VP filter.
-    let mut fp = base.clone();
-    fp.epp_false_positive_rate = 0.5;
-    let mut th = base.clone();
-    if let Some(r) = th.rfp.as_mut() {
-        r.criticality_threshold = 7;
-    }
-    let mut vf = base.clone();
-    if let Some(r) = vf.rfp.as_mut() {
-        r.vp_filter = false;
-    }
-    for (name, cfg) in [
-        ("EPP fp rate", &fp),
-        ("crit threshold", &th),
-        ("vp filter", &vf),
-    ] {
-        assert_eq!(
-            warm_key(cfg),
-            key,
-            "{name} is inert here and must not re-key"
-        );
-    }
-    // …but live as soon as the gating feature is on.
-    let mut crit = base.clone();
-    if let Some(r) = crit.rfp.as_mut() {
-        r.critical_only = true;
-        r.criticality_threshold = 3;
-    }
-    let mut crit7 = crit.clone();
-    if let Some(r) = crit7.rfp.as_mut() {
-        r.criticality_threshold = 7;
-    }
-    assert_ne!(
-        warm_key(&crit),
-        warm_key(&crit7),
-        "threshold is live under critical-only targeting"
-    );
-    // Projection is idempotent and otherwise lossless.
-    let p = warm_projection(&base);
-    assert_eq!(warm_projection(&p), p);
-    assert_eq!(p.rob_entries, base.rob_entries);
-    assert_eq!(p.mem, base.mem);
 }
 
 #[test]

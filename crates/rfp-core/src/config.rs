@@ -1,17 +1,53 @@
 //! Core configuration — the paper's Table 2 plus feature switches for every
-//! evaluated mechanism.
+//! evaluated mechanism. Values that no experiment varies are constants,
+//! not fields.
 
 use rfp_mem::{HierarchyConfig, OracleMode, PortConfig};
 use rfp_predictors::{DlvpConfig, PrefetchTableConfig, ValuePredictorConfig};
 use rfp_types::{ConfigError, Cycle};
+
+/// Scheduling pipeline depth: wakeup + select + regread (the paper's
+/// 3-cycle scheduling pipeline after Stark et al., §3.3).
+pub const SCHED_LATENCY: Cycle = 3;
+/// Extra cycles a cancelled uop needs before it can re-enter selection
+/// (model choice; the paper does not give it).
+pub const REISSUE_PENALTY: Cycle = 2;
+/// Front-end redirect penalty after a mispredicted branch resolves
+/// (model choice).
+pub const MISPREDICT_REDIRECT: Cycle = 15;
+/// Fetch-to-allocate depth with a uop-cache hit: the window DLVP's early
+/// probe has to return data (§5.4 point 4).
+pub const FETCH_TO_ALLOC: Cycle = 4;
+/// Flush penalty for a value/address misprediction (the paper's VP
+/// baseline: a 20-cycle flush).
+pub const VP_FLUSH_PENALTY: Cycle = 20;
+/// Extra pipeline cycles of a DLVP early probe beyond the raw L1 latency
+/// (predictor access, decode identification, data transfer back to the
+/// rename-time value file; model choice).
+pub const AP_PROBE_OVERHEAD: Cycle = 4;
+/// Maximum cycles a DLVP probe's data can be held in the (small) probe
+/// buffer before allocation consumes it; older probe data is recycled and
+/// the prediction is lost (model choice).
+pub const AP_PROBE_HOLD: Cycle = 32;
+/// Store-to-load forwarding latency (model choice: Table 2's 5-cycle L1
+/// load-to-use latency).
+pub const FORWARD_LATENCY: Cycle = 5;
+/// EPP SSBF false-positive rate: the fraction of loads re-executed at
+/// retirement when [`VpMode::Epp`] is active (model choice).
+pub const EPP_FALSE_POSITIVE_RATE: f64 = 0.03;
+/// Seed of the core's RNG, which draws only the EPP false-positive rolls.
+pub const CORE_SEED: u64 = 0xc0de;
+/// RFP request FIFO depth (the paper's 64-entry RFP queue, §3).
+pub const RFP_QUEUE_ENTRIES: usize = 64;
+/// Head-stall count at which a load PC becomes critical under
+/// [`RfpConfig::critical_only`] targeting (model choice).
+pub const CRITICALITY_THRESHOLD: u8 = 3;
 
 /// Configuration of the RFP engine (§3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RfpConfig {
     /// The stride Prefetch Table.
     pub table: PrefetchTableConfig,
-    /// RFP request FIFO depth (paper: 64).
-    pub queue_entries: usize,
     /// Also consult the delta-context prefetcher and prefetch on its
     /// prediction when the stride table declines (§5.5.3).
     pub use_context: bool,
@@ -20,28 +56,20 @@ pub struct RfpConfig {
     /// Let prefetches that miss the L1 continue to the lower levels
     /// (§3.2.2; default true — dropping costs only ~0.02%).
     pub continue_on_l1_miss: bool,
-    /// When value prediction is also enabled, skip RFP for loads the VP
-    /// already covers (the paper's VP+RFP fusion policy, §5.3).
-    pub vp_filter: bool,
     /// Criticality-targeted prefetching (the paper's §5.1 future-work
     /// direction): only inject prefetches for loads observed blocking
-    /// retirement at the head of the ROB.
+    /// retirement at the head of the ROB ([`CRITICALITY_THRESHOLD`]).
     pub critical_only: bool,
-    /// Head-stall count at which a load PC becomes critical.
-    pub criticality_threshold: u8,
 }
 
 impl Default for RfpConfig {
     fn default() -> Self {
         RfpConfig {
             table: PrefetchTableConfig::default(),
-            queue_entries: 64,
             use_context: false,
             drop_on_tlb_miss: true,
             continue_on_l1_miss: true,
-            vp_filter: true,
             critical_only: false,
-            criticality_threshold: 3,
         }
     }
 }
@@ -105,27 +133,6 @@ pub struct CoreConfig {
     pub load_agu_ports: usize,
     /// Store AGU ports.
     pub store_agu_ports: usize,
-    /// Scheduling pipeline depth: wakeup + select + regread (paper: 3).
-    pub sched_latency: Cycle,
-    /// Extra cycles a cancelled uop needs before it can re-enter selection.
-    pub reissue_penalty: Cycle,
-    /// Front-end redirect penalty after a mispredicted branch resolves.
-    pub mispredict_redirect: Cycle,
-    /// Fetch-to-allocate depth with a uop-cache hit: the window DLVP's
-    /// early probe has to return data (§5.4 point 4).
-    pub fetch_to_alloc: Cycle,
-    /// Flush penalty for a value/address misprediction (paper: 20).
-    pub vp_flush_penalty: Cycle,
-    /// Extra pipeline cycles of a DLVP early probe beyond the raw L1
-    /// latency (predictor access, decode identification, data transfer
-    /// back to the rename-time value file).
-    pub ap_probe_overhead: Cycle,
-    /// Maximum cycles a DLVP probe's data can be held in the (small)
-    /// probe buffer before allocation consumes it; older probe data is
-    /// recycled and the prediction is lost.
-    pub ap_probe_hold: Cycle,
-    /// Store-to-load forwarding latency.
-    pub forward_latency: Cycle,
     /// Memory hierarchy.
     pub mem: HierarchyConfig,
     /// L1 data port pool.
@@ -137,13 +144,10 @@ pub struct CoreConfig {
     pub branch_mode: BranchMode,
     /// Register file prefetching (None = baseline).
     pub rfp: Option<RfpConfig>,
-    /// Value/address prediction scheme.
+    /// Value/address prediction scheme. With RFP also on, RFP skips the
+    /// loads the VP already covers (the paper's VP+RFP fusion policy,
+    /// §5.3).
     pub vp: VpMode,
-    /// EPP SSBF false-positive rate (fraction of loads re-executed at
-    /// retirement when `VpMode::Epp` is active).
-    pub epp_false_positive_rate: f64,
-    /// Deterministic seed for any core-side randomness.
-    pub seed: u64,
 }
 
 impl CoreConfig {
@@ -161,14 +165,6 @@ impl CoreConfig {
             fp_ports: 2,
             load_agu_ports: 2,
             store_agu_ports: 1,
-            sched_latency: 3,
-            reissue_penalty: 2,
-            mispredict_redirect: 15,
-            fetch_to_alloc: 4,
-            vp_flush_penalty: 20,
-            ap_probe_overhead: 4,
-            ap_probe_hold: 32,
-            forward_latency: 5,
             mem: HierarchyConfig::tiger_lake(),
             ports: PortConfig {
                 load_ports: 2,
@@ -178,8 +174,6 @@ impl CoreConfig {
             branch_mode: BranchMode::default(),
             rfp: None,
             vp: VpMode::Off,
-            epp_false_positive_rate: 0.03,
-            seed: 0xc0de,
         }
     }
 
@@ -228,6 +222,10 @@ impl CoreConfig {
         if self.width == 0 || self.retire_width == 0 {
             return Err(ConfigError::new("width", "must be nonzero"));
         }
+        // Retire slots travel to probes as a `u8`.
+        if self.width > usize::from(u8::MAX) || self.retire_width > usize::from(u8::MAX) {
+            return Err(ConfigError::new("width", "must be at most 255"));
+        }
         if self.rob_entries < self.width {
             return Err(ConfigError::new(
                 "rob_entries",
@@ -243,25 +241,17 @@ impl CoreConfig {
         if self.ldq_entries == 0 || self.stq_entries == 0 {
             return Err(ConfigError::new("lsq", "queues must be nonzero"));
         }
-        if self.alu_ports == 0 || self.load_agu_ports == 0 || self.store_agu_ports == 0 {
+        if self.alu_ports == 0
+            || self.fp_ports == 0
+            || self.load_agu_ports == 0
+            || self.store_agu_ports == 0
+        {
             return Err(ConfigError::new("ports", "execution ports must be nonzero"));
-        }
-        if self.sched_latency == 0 {
-            return Err(ConfigError::new("sched_latency", "must be nonzero"));
-        }
-        if !(0.0..=1.0).contains(&self.epp_false_positive_rate) {
-            return Err(ConfigError::new(
-                "epp_false_positive_rate",
-                "must be within [0, 1]",
-            ));
         }
         self.mem.validate()?;
         self.ports.validate()?;
         if let Some(rfp) = &self.rfp {
             rfp.table.validate()?;
-            if rfp.queue_entries == 0 {
-                return Err(ConfigError::new("rfp.queue_entries", "must be nonzero"));
-            }
         }
         match &self.vp {
             VpMode::Off => {}
@@ -288,33 +278,24 @@ mod codec_impls {
         fn encode(&self, w: &mut ByteWriter) {
             let RfpConfig {
                 table,
-                queue_entries,
                 use_context,
                 drop_on_tlb_miss,
                 continue_on_l1_miss,
-                vp_filter,
                 critical_only,
-                criticality_threshold,
             } = self;
             table.encode(w);
-            queue_entries.encode(w);
             use_context.encode(w);
             drop_on_tlb_miss.encode(w);
             continue_on_l1_miss.encode(w);
-            vp_filter.encode(w);
             critical_only.encode(w);
-            criticality_threshold.encode(w);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             Ok(RfpConfig {
                 table: Codec::decode(r)?,
-                queue_entries: Codec::decode(r)?,
                 use_context: Codec::decode(r)?,
                 drop_on_tlb_miss: Codec::decode(r)?,
                 continue_on_l1_miss: Codec::decode(r)?,
-                vp_filter: Codec::decode(r)?,
                 critical_only: Codec::decode(r)?,
-                criticality_threshold: Codec::decode(r)?,
             })
         }
     }
@@ -383,22 +364,12 @@ mod codec_impls {
                 fp_ports,
                 load_agu_ports,
                 store_agu_ports,
-                sched_latency,
-                reissue_penalty,
-                mispredict_redirect,
-                fetch_to_alloc,
-                vp_flush_penalty,
-                ap_probe_overhead,
-                ap_probe_hold,
-                forward_latency,
                 mem,
                 ports,
                 l1_ip_prefetcher,
                 branch_mode,
                 rfp,
                 vp,
-                epp_false_positive_rate,
-                seed,
             } = self;
             width.encode(w);
             retire_width.encode(w);
@@ -410,22 +381,12 @@ mod codec_impls {
             fp_ports.encode(w);
             load_agu_ports.encode(w);
             store_agu_ports.encode(w);
-            sched_latency.encode(w);
-            reissue_penalty.encode(w);
-            mispredict_redirect.encode(w);
-            fetch_to_alloc.encode(w);
-            vp_flush_penalty.encode(w);
-            ap_probe_overhead.encode(w);
-            ap_probe_hold.encode(w);
-            forward_latency.encode(w);
             mem.encode(w);
             ports.encode(w);
             l1_ip_prefetcher.encode(w);
             branch_mode.encode(w);
             rfp.encode(w);
             vp.encode(w);
-            epp_false_positive_rate.encode(w);
-            seed.encode(w);
         }
         fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
             let c = CoreConfig {
@@ -439,22 +400,12 @@ mod codec_impls {
                 fp_ports: Codec::decode(r)?,
                 load_agu_ports: Codec::decode(r)?,
                 store_agu_ports: Codec::decode(r)?,
-                sched_latency: Codec::decode(r)?,
-                reissue_penalty: Codec::decode(r)?,
-                mispredict_redirect: Codec::decode(r)?,
-                fetch_to_alloc: Codec::decode(r)?,
-                vp_flush_penalty: Codec::decode(r)?,
-                ap_probe_overhead: Codec::decode(r)?,
-                ap_probe_hold: Codec::decode(r)?,
-                forward_latency: Codec::decode(r)?,
                 mem: Codec::decode(r)?,
                 ports: Codec::decode(r)?,
                 l1_ip_prefetcher: Codec::decode(r)?,
                 branch_mode: Codec::decode(r)?,
                 rfp: Codec::decode(r)?,
                 vp: Codec::decode(r)?,
-                epp_false_positive_rate: Codec::decode(r)?,
-                seed: Codec::decode(r)?,
             };
             if c.validate().is_err() {
                 return Err(CodecError::Invalid("core config"));
@@ -549,7 +500,6 @@ mod tests {
         let mut c = CoreConfig::tiger_lake().with_rfp();
         if let Some(r) = c.rfp.as_mut() {
             r.critical_only = true;
-            r.criticality_threshold = 5;
         }
         c.validate().unwrap();
     }

@@ -5,7 +5,7 @@
 //!
 //! The scheduler follows Stark et al.'s 3-cycle wakeup/select/regread
 //! pipeline (paper §3.3): an instruction dispatched at cycle `a` can start
-//! executing no earlier than `a + sched_latency`, and no earlier than the
+//! executing no earlier than `a + SCHED_LATENCY`, and no earlier than the
 //! *predicted* readiness of its sources. Producers publish two readiness
 //! times per physical register: a *predicted* one (used for speculative
 //! wakeup — e.g. a load predicted to hit publishes `issue + L1 latency`)
@@ -66,7 +66,11 @@ use rfp_stats::{CoreStats, CpiBucket};
 use rfp_trace::{MicroOp, UopKind};
 use rfp_types::{Addr, ArchReg, ConfigError, Cycle, PhysReg, SeqNum};
 
-use crate::config::{CoreConfig, VpMode};
+use crate::config::{
+    CoreConfig, VpMode, AP_PROBE_HOLD, AP_PROBE_OVERHEAD, CORE_SEED, CRITICALITY_THRESHOLD,
+    EPP_FALSE_POSITIVE_RATE, FETCH_TO_ALLOC, FORWARD_LATENCY, MISPREDICT_REDIRECT, REISSUE_PENALTY,
+    RFP_QUEUE_ENTRIES, VP_FLUSH_PENALTY,
+};
 use crate::event_queue::CalendarQueue;
 use crate::inst::{DlvpInfo, DynInst, Phase, RfpState, VpSource};
 use crate::ring_bits::RingBits;
@@ -335,8 +339,8 @@ impl<P: Probe> Core<P> {
             criticality: cfg
                 .rfp
                 .as_ref()
-                .filter(|r| r.critical_only)
-                .map(|r| CriticalityTable::new(r.criticality_threshold)),
+                .is_some_and(|r| r.critical_only)
+                .then(|| CriticalityTable::new(CRITICALITY_THRESHOLD)),
             hit_miss: HitMissPredictor::new(),
             store_sets: StoreSets::new(),
             eves,
@@ -354,7 +358,7 @@ impl<P: Probe> Core<P> {
             scratch_pregs: Vec::new(),
             scratch_lines: Vec::new(),
             rs_used: 0,
-            rng: SmallRng::seed_from_u64(cfg.seed),
+            rng: SmallRng::seed_from_u64(CORE_SEED),
             stats: CoreStats::default(),
             last_retire_cycle: 0,
             warmup_uops: 0,
@@ -861,7 +865,7 @@ impl<P: Probe> Core<P> {
             self.fetch_stall_branch = None;
             self.dispatch_blocked_until = self
                 .dispatch_blocked_until
-                .max(self.cycle + self.cfg.mispredict_redirect);
+                .max(self.cycle + MISPREDICT_REDIRECT);
             // Everything in the uop queue was wrong-path; refetch.
             self.fetch_queue.clear();
         }
@@ -920,7 +924,7 @@ impl<P: Probe> Core<P> {
                 },
             );
         }
-        let penalty_end = self.cycle + self.cfg.vp_flush_penalty;
+        let penalty_end = self.cycle + VP_FLUSH_PENALTY;
         self.dispatch_blocked_until = self.dispatch_blocked_until.max(penalty_end);
         // Repair the load's destination: data is correct now (validation
         // read the true value), dependents just re-execute against it.
@@ -1193,7 +1197,7 @@ impl<P: Probe> Core<P> {
                 // EPP: SSBF false positives force a re-execution at
                 // retirement — costs retire bandwidth and an L1 access.
                 if matches!(self.cfg.vp, VpMode::Epp(_))
-                    && self.rng.gen_bool(self.cfg.epp_false_positive_rate)
+                    && self.rng.gen_bool(EPP_FALSE_POSITIVE_RATE)
                 {
                     self.stats.epp_reexecutions += 1;
                     self.retire_blocked_until = self.cycle + 2;
@@ -1314,7 +1318,7 @@ impl<P: Probe> Core<P> {
             if P::ENABLED {
                 self.probe.emit(now, ProbeEvent::SchedReissue { seq });
             }
-            let not_before = now + self.cfg.reissue_penalty;
+            let not_before = now + REISSUE_PENALTY;
             if let Some(i) = self.inst_mut(seq) {
                 i.not_before = not_before;
             }
@@ -1518,7 +1522,7 @@ impl<P: Probe> Core<P> {
                     .inst(store_seq)
                     .and_then(|s| s.complete_cycle)
                     .unwrap_or(now);
-                let done = store_done.max(now) + self.cfg.forward_latency;
+                let done = store_done.max(now) + FORWARD_LATENCY;
                 if let Some(i) = self.inst_mut(seq) {
                     i.forwarded = true;
                     i.forward_from = Some(store_seq);
@@ -1733,7 +1737,7 @@ impl<P: Probe> Core<P> {
                 let laddr = l.uop.mem_ref().addr;
                 let vp_active = l.predicted_value.is_some();
                 if laddr == addr {
-                    let fdone = done + self.cfg.forward_latency;
+                    let fdone = done + FORWARD_LATENCY;
                     if let Some(li) = self.inst_mut(lseq) {
                         li.forwarded = true;
                         li.forward_from = Some(seq);
@@ -1807,7 +1811,7 @@ impl<P: Probe> Core<P> {
     /// Memory-ordering flush: the load itself and everything younger
     /// re-execute after the penalty.
     fn violation_flush(&mut self, load_seq: SeqNum) {
-        let penalty_end = self.cycle + self.cfg.vp_flush_penalty;
+        let penalty_end = self.cycle + VP_FLUSH_PENALTY;
         self.dispatch_blocked_until = self.dispatch_blocked_until.max(penalty_end);
         if P::ENABLED {
             self.probe.emit(
@@ -1888,7 +1892,7 @@ impl<P: Probe> Core<P> {
                         .inst(store_seq)
                         .and_then(|s| s.complete_cycle)
                         .unwrap_or(now);
-                    let complete = store_done.max(now) + self.cfg.forward_latency;
+                    let complete = store_done.max(now) + FORWARD_LATENCY;
                     self.stats.rfp_executed += 1;
                     if let Some(i) = self.inst_mut(pkt.seq) {
                         i.rfp = RfpState::InFlight {
@@ -2080,8 +2084,8 @@ impl<P: Probe> Core<P> {
                 .fetch_queue
                 .pop_front()
                 .unwrap_or(self.cycle)
-                .saturating_sub(self.cfg.fetch_to_alloc)
-                .min(self.cycle.saturating_sub(self.cfg.fetch_to_alloc));
+                .saturating_sub(FETCH_TO_ALLOC)
+                .min(self.cycle.saturating_sub(FETCH_TO_ALLOC));
             let uop = trace.next().expect("peeked");
             self.dispatch_one(uop, fetch_cycle);
         }
@@ -2101,7 +2105,7 @@ impl<P: Probe> Core<P> {
                 },
             );
         }
-        let mut inst = DynInst::new(seq, uop, now, self.cfg.sched_latency);
+        let mut inst = DynInst::new(seq, uop, now);
 
         // Rename: snapshot source mappings, allocate a destination.
         for (slot, src) in inst.src_phys.iter_mut().zip(uop.src_regs.iter()) {
@@ -2206,10 +2210,8 @@ impl<P: Probe> Core<P> {
                         .try_acquire_with(PortClient::ApProbe, now, &mut self.probe)
                     {
                         self.stats.ap_probe_launched += 1;
-                        let probe_done =
-                            fetch_cycle + self.cfg.mem.l1.latency + self.cfg.ap_probe_overhead;
-                        let held_too_long =
-                            now.saturating_sub(fetch_cycle) > self.cfg.ap_probe_hold;
+                        let probe_done = fetch_cycle + self.cfg.mem.l1.latency + AP_PROBE_OVERHEAD;
+                        let held_too_long = now.saturating_sub(fetch_cycle) > AP_PROBE_HOLD;
                         if probe_done <= now && !held_too_long && inst.predicted_value.is_none() {
                             self.stats.ap_probe_success += 1;
                             info.probe_success = true;
@@ -2245,7 +2247,9 @@ impl<P: Probe> Core<P> {
         let Some(rfp_cfg) = self.cfg.rfp.as_ref() else {
             return;
         };
-        if rfp_cfg.vp_filter && inst.predicted_value.is_some() {
+        // VP+RFP fusion (§5.3): a load the VP already covers needs no
+        // prefetch.
+        if inst.predicted_value.is_some() {
             return;
         }
         if rfp_cfg.critical_only
@@ -2290,7 +2294,7 @@ impl<P: Probe> Core<P> {
             }
             return;
         };
-        if self.rfp_queue.len() >= rfp_cfg.queue_entries {
+        if self.rfp_queue.len() >= RFP_QUEUE_ENTRIES {
             // Rejected before entering the funnel: `rfp_injected` is not
             // incremented, so queue-full drops sit outside the terminal-
             // bucket equation (see `CoreStats::funnel_consistent`).

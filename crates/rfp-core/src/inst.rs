@@ -5,6 +5,8 @@ use rfp_predictors::PathHistory;
 use rfp_trace::MicroOp;
 use rfp_types::{Addr, Cycle, PhysReg, SeqNum};
 
+use crate::config::SCHED_LATENCY;
+
 /// Lifecycle phase of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -152,8 +154,9 @@ pub struct DynInst {
 }
 
 impl DynInst {
-    /// Creates a freshly dispatched instruction.
-    pub fn new(seq: SeqNum, uop: MicroOp, alloc_cycle: Cycle, sched_latency: Cycle) -> Self {
+    /// Creates an instruction dispatched at `alloc_cycle`, selectable
+    /// [`SCHED_LATENCY`] cycles later.
+    pub fn new(seq: SeqNum, uop: MicroOp, alloc_cycle: Cycle) -> Self {
         DynInst {
             seq,
             uop,
@@ -162,7 +165,7 @@ impl DynInst {
             src_phys: [None; rfp_trace::MAX_SRCS],
             phase: Phase::Waiting,
             alloc_cycle,
-            not_before: alloc_cycle + sched_latency,
+            not_before: alloc_cycle + SCHED_LATENCY,
             issue_cycle: None,
             complete_cycle: None,
             gen: 0,
@@ -402,7 +405,7 @@ mod tests {
 
     fn inst() -> DynInst {
         let uop = MicroOp::alu(Pc::new(0x400), 1, &[], None);
-        DynInst::new(SeqNum::new(3), uop, 100, 3)
+        DynInst::new(SeqNum::new(3), uop, 100)
     }
 
     #[test]

@@ -38,7 +38,11 @@ mod inst;
 mod ring_bits;
 
 pub use crate::core::{Core, WarmState};
-pub use config::{BranchMode, CoreConfig, RfpConfig, VpMode};
+pub use config::{
+    BranchMode, CoreConfig, RfpConfig, VpMode, AP_PROBE_HOLD, AP_PROBE_OVERHEAD, CORE_SEED,
+    CRITICALITY_THRESHOLD, EPP_FALSE_POSITIVE_RATE, FETCH_TO_ALLOC, FORWARD_LATENCY,
+    MISPREDICT_REDIRECT, REISSUE_PENALTY, RFP_QUEUE_ENTRIES, SCHED_LATENCY, VP_FLUSH_PENALTY,
+};
 pub use event_queue::CalendarQueue;
 pub use inst::{DlvpInfo, DynInst, Phase, RfpState, VpSource};
 pub use rfp_mem::OracleMode;
